@@ -66,7 +66,11 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H", "name length")
-        name = r.take(name_len, "name").decode("utf-8")
+        try:
+            name = r.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError("tensor name is not valid UTF-8",
+                              offset=r.pos - name_len + e.start)
         (rank,) = r.unpack("<B", "rank")
         dims = tuple(r.unpack(f"<{rank}I", "dims")) if rank else ()
         (code,) = r.unpack("<B", "dtype code")

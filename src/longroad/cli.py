@@ -34,8 +34,7 @@ from .errors import (ConfigError, ContractError, DataError, FormatError,
                      NumericFailure)
 from .seeding import rng_for
 
-METRIC_NAMES = ("mawe", "warp_error", "optical_flow_score",
-                "background_consistency", "fid_proxy", "fvd_proxy", "curves")
+METRIC_NAMES = M.SCALAR_METRICS + ("fid_proxy", "fvd_proxy", "curves")
 
 
 class UsageError(Exception):
@@ -138,12 +137,16 @@ def cmd_rollout(args) -> int:
     cfg = cfgmod.load_config(args.config)
     if args.iters < 1:
         raise UsageError("--iters must be >= 1")
+    l_window = cfg["rollout"]["l_window"]
+    m_memory = cfg["train"]["memory_span_d"]   # full-resolution memory rule
+    total = m_memory + args.iters * (l_window - m_memory)
+    if total > R.HEADER_LIMITS["frames"]:
+        raise UsageError(f"--iters {args.iters} would make {total} frames; a clip "
+                         f"holds at most {R.HEADER_LIMITS['frames']}")
     model = _build_model(cfg)
     ckpt.load_into(args.ckpt, model.named_parameters())
     schedule = build_schedule(cfg["train"]["t_max"], cfg["train"]["beta_start"],
                               cfg["train"]["beta_end"])
-    l_window = cfg["rollout"]["l_window"]
-    m_memory = cfg["train"]["memory_span_d"]   # full-resolution memory rule
     fps = cfg["rollout"]["fps"]
     settings = RO.SamplerSettings(l_window=l_window, steps=cfg["rollout"]["steps"],
                                   guidance_scale=cfg["rollout"]["guidance_scale"])
@@ -207,10 +210,7 @@ def cmd_eval(args) -> int:
         raise UsageError(
             f"unknown metric name(s) {bad}; valid: {', '.join(METRIC_NAMES)}"
         )
-    ecfg = cfg["eval"]
-    mcfg = M.MetricConfig(c=ecfg["c"], window=args.window or ecfg["window"],
-                          search_radius=ecfg["search_radius"], block=ecfg["block"],
-                          feature_seed=ecfg["feature_seed"])
+    mcfg = cfgmod.metric_config(cfg, args.window)
     gen = _load_clip_dir(args.gen)
     ref = _load_clip_dir(args.ref)
 
@@ -227,26 +227,15 @@ def cmd_eval(args) -> int:
     per_clip: dict[str, dict] = {}
     gen_frame_feats, gen_stack_feats = [], []
     for name, vid in gen.items():
-        entry: dict = {"frames": int(vid.shape[0])}
-        f, s = M.video_features(vid, mcfg.feature_seed)
+        values, f, s = M.clip_metrics(vid, mcfg, requested, ref_frames, ref_stacks)
+        per_clip[name] = {"frames": int(vid.shape[0]), **values}
         gen_frame_feats.append(f)
         if s.shape[0]:
             gen_stack_feats.append(s)
-        if "mawe" in requested:
-            entry["mawe"] = M.mawe(vid, mcfg)
-        if "warp_error" in requested:
-            entry["warp_error"] = M.warp_error(vid, mcfg)
-        if "optical_flow_score" in requested:
-            entry["optical_flow_score"] = M.optical_flow_score(vid, mcfg)
-        if "background_consistency" in requested:
-            entry["background_consistency"] = M.background_consistency_from_features(f)
-        if "curves" in requested and vid.shape[0] >= mcfg.window:
-            entry["curves"] = M.windowed_curves(vid, mcfg, ref_frames, ref_stacks)
-        per_clip[name] = entry
 
     aggregate: dict = {}
-    for key in ("mawe", "warp_error", "optical_flow_score", "background_consistency"):
-        vals = [e[key] for e in per_clip.values() if key in e]
+    for key in M.SCALAR_METRICS:  # undefined (null) values are skipped
+        vals = [e[key] for e in per_clip.values() if e.get(key) is not None]
         if vals:
             aggregate[key] = float(np.mean(vals))
     if "fid_proxy" in requested:

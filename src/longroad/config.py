@@ -11,6 +11,8 @@ from pathlib import Path
 
 from .backbone import ModelConfig
 from .errors import ConfigError
+from .metrics import MetricConfig
+from .toyroad import HEADER_LIMITS
 from .training import TrainConfig
 
 DEFAULTS: dict = {
@@ -84,21 +86,31 @@ def _validate(cfg: dict) -> list[str]:
         train_config(cfg)
     except (ConfigError, TypeError, ValueError) as e:
         problems.append(f"train: {e}")
-    d = cfg["data"]
-    for key in ("clips", "frames", "height", "width", "fps"):
-        if not isinstance(d[key], int) or d[key] < 1:
-            problems.append(f"data.{key} must be a positive integer, got {d[key]!r}")
+    try:
+        metric_config(cfg)
+    except ConfigError as e:
+        problems.append(f"eval: {e}")
+    for section, keys in (("data", ("clips", "frames", "height", "width", "fps")),
+                          ("rollout", ("l_window", "steps", "fps"))):
+        for key in keys:
+            value = cfg[section][key]
+            if not _is_int(value) or value < 1:
+                problems.append(f"{section}.{key} must be a positive integer, got {value!r}")
+            elif key in HEADER_LIMITS and value > HEADER_LIMITS[key]:
+                problems.append(f"{section}.{key} must be <= {HEADER_LIMITS[key]} to fit "
+                                f"the clip header, got {value}")
     r = cfg["rollout"]
-    if r["l_window"] <= cfg["train"]["memory_span_d"]:
+    scale = r["guidance_scale"]
+    if not isinstance(scale, (int, float)) or isinstance(scale, bool):
+        problems.append(f"rollout.guidance_scale must be a number, got {scale!r}")
+    memory = cfg["train"]["memory_span_d"]
+    if _is_int(r["l_window"]) and _is_int(memory) and r["l_window"] <= memory:
         problems.append("rollout.l_window must exceed train.memory_span_d")
-    if r["steps"] < 1:
-        problems.append("rollout.steps must be >= 1")
-    e = cfg["eval"]
-    if e["window"] < 2:
-        problems.append("eval.window must be >= 2")
-    if e["c"] <= 0:
-        problems.append("eval.c must be positive")
     return problems
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def model_config(cfg: dict) -> ModelConfig:
@@ -111,6 +123,12 @@ def train_config(cfg: dict) -> TrainConfig:
     t["phase_steps"] = tuple(t["phase_steps"])
     t["alpha_set"] = tuple(t["alpha_set"])
     return TrainConfig(**t)
+
+
+def metric_config(cfg: dict, window: int | None = None) -> MetricConfig:
+    """The eval section; `window`, when given, replaces eval.window."""
+    window = cfg["eval"]["window"] if window is None else window
+    return MetricConfig(**{**cfg["eval"], "window": window})
 
 
 def config_hash(cfg: dict) -> str:

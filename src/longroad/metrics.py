@@ -33,10 +33,16 @@ class MetricConfig:
     feature_seed: int = 90210
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ConfigError("MAWE coefficient must be positive")
+        for name in ("window", "search_radius", "block", "feature_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.c, (int, float)) or isinstance(self.c, bool) or self.c <= 0:
+            raise ConfigError(f"MAWE coefficient must be a positive number, got {self.c!r}")
         if self.window < 2:
             raise ConfigError("evaluation window must span at least 2 frames")
+        if self.search_radius < 0 or self.block < 1:
+            raise ConfigError("flow search radius must be >= 0 and block >= 1")
 
 
 @dataclass
@@ -138,57 +144,55 @@ def _warp_backward(frame_b: np.ndarray, flow: FlowField) -> np.ndarray:
 
 
 def _pair_metrics(video: np.ndarray, cfg: MetricConfig):
-    """(per-pair warp RMS or None, per-pair mean flow norm) for consecutive pairs."""
+    """(per-pair warp RMS, per-pair mean flow norm) arrays over consecutive
+    pairs; the warp RMS is NaN where a pair is fully occluded."""
     vid = _to_unit(video)
     if vid.shape[0] < 2:
         raise ContractError(f"need at least 2 frames, got {vid.shape[0]}")
-    warps: list[float | None] = []
-    norms: list[float] = []
-    for i in range(vid.shape[0] - 1):
+    n = vid.shape[0] - 1
+    warps, norms = np.full(n, np.nan), np.empty(n)
+    for i in range(n):
         flow = estimate_flow(vid[i], vid[i + 1], cfg)
-        norms.append(float(np.sqrt(flow.u**2 + flow.v**2).mean()))
+        norms[i] = np.sqrt(flow.u**2 + flow.v**2).mean()
         valid = ~flow.occlusion
-        if not valid.any():
-            warps.append(None)
-            continue
-        warped = _warp_backward(vid[i + 1], flow)
-        sq = (vid[i] - warped) ** 2
-        warps.append(float(np.sqrt(sq[:, valid].mean())))
+        if valid.any():
+            sq = (vid[i] - _warp_backward(vid[i + 1], flow)) ** 2
+            warps[i] = np.sqrt(sq[:, valid].mean())
     return warps, norms
+
+
+def _mean_warp(warps: np.ndarray) -> float:
+    usable = warps[~np.isnan(warps)]
+    if usable.size == 0:
+        raise MetricUndefinedError("every frame pair is fully occluded")
+    return float(np.mean(usable))
+
+
+def _mawe(warps: np.ndarray, norms: np.ndarray, c: float) -> float:
+    w = _mean_warp(warps)
+    ofs = float(np.mean(norms))
+    if ofs < 1e-6:
+        if w < 1e-6:
+            return 0.0
+        raise MetricUndefinedError(f"zero optical flow with nonzero warp error ({w:.3g})")
+    return w / (c * ofs)
 
 
 def warp_error(video: np.ndarray, cfg: MetricConfig) -> float:
     """Mean over consecutive pairs of masked RMS distance between a frame and
     its backward-warped successor. All-occluded pairs contribute nothing."""
-    warps, _ = _pair_metrics(video, cfg)
-    usable = [x for x in warps if x is not None]
-    if not usable:
-        raise MetricUndefinedError("every frame pair is fully occluded")
-    return float(np.mean(usable))
+    return _mean_warp(_pair_metrics(video, cfg)[0])
 
 
 def optical_flow_score(video: np.ndarray, cfg: MetricConfig) -> float:
     """Mean flow-vector norm over all pixels and consecutive pairs."""
-    _, norms = _pair_metrics(video, cfg)
-    return float(np.mean(norms))
+    return float(np.mean(_pair_metrics(video, cfg)[1]))
 
 
 def mawe(video: np.ndarray, cfg: MetricConfig) -> float:
     """warp_error / (c * optical_flow_score); a static, unchanged video scores
     0 by convention, while zero motion with nonzero warp error is undefined."""
-    warps, norms = _pair_metrics(video, cfg)
-    usable = [x for x in warps if x is not None]
-    if not usable:
-        raise MetricUndefinedError("every frame pair is fully occluded")
-    w = float(np.mean(usable))
-    ofs = float(np.mean(norms))
-    if ofs < 1e-6:
-        if w < 1e-6:
-            return 0.0
-        raise MetricUndefinedError(
-            f"zero optical flow with nonzero warp error ({w:.3g})"
-        )
-    return w / (cfg.c * ofs)
+    return _mawe(*_pair_metrics(video, cfg), cfg.c)
 
 
 # -- frozen feature network ----------------------------------------------------------
@@ -285,21 +289,18 @@ def extractor_checksum(channels: int, seed: int) -> str:
     return f"{frame_net.checksum()}-{stack_net.checksum()}"
 
 
-def video_features(video: np.ndarray, extractor_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(per-frame features (L, D), per-16-frame-stack features (K, D)).
-
-    Stacks are consecutive and non-overlapping; a video shorter than 16
-    frames yields an empty stack array.
-    """
-    vid = _to_unit(video)
-    l, c = vid.shape[0], vid.shape[1]
-    frame_feats = _net(c, extractor_seed)(vid)
-    k = l // STACK_LEN
-    if k == 0:
-        return frame_feats, np.zeros((0, frame_feats.shape[1]))
+def _stack_features(vid: np.ndarray, extractor_seed: int) -> np.ndarray:
+    """(K, D) features of the consecutive, non-overlapping 16-frame stacks of
+    a unit-range video; K is 0 below 16 frames."""
+    k, c = vid.shape[0] // STACK_LEN, vid.shape[1]
     stacked = vid[:k * STACK_LEN].reshape(k, STACK_LEN * c, vid.shape[2], vid.shape[3])
-    stack_feats = _net(STACK_LEN * c, extractor_seed)(stacked)
-    return frame_feats, stack_feats
+    return _net(STACK_LEN * c, extractor_seed)(stacked)
+
+
+def video_features(video: np.ndarray, extractor_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(per-frame features (L, D), per-16-frame-stack features (K, D))."""
+    vid = _to_unit(video)
+    return _net(vid.shape[1], extractor_seed)(vid), _stack_features(vid, extractor_seed)
 
 
 def background_consistency_from_features(feats: np.ndarray) -> float:
@@ -352,29 +353,59 @@ def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
     return max(diff + trace_term, 0.0)
 
 
-# -- windowed protocol -------------------------------------------------------------------
+# -- one metric pass per clip -------------------------------------------------------------
+
+FLOW_METRICS = ("mawe", "warp_error", "optical_flow_score")
+SCALAR_METRICS = FLOW_METRICS + ("background_consistency",)
+
+
+def _defined(metric) -> float | None:
+    try:
+        return metric()
+    except MetricUndefinedError:
+        return None
+
+
+def clip_metrics(video: np.ndarray, cfg: MetricConfig, requested,
+                 ref_frames: FeatureStats, ref_stacks: FeatureStats | None):
+    """(requested metrics, frame features, stack features) of one clip, from
+    flow run once per frame pair (only for a flow metric or the curves) and
+    features run once per frame. A scalar reduces those arrays; a curve point
+    at `mark` reduces frames [mark - window, mark), pairs [mark - window,
+    mark - 1), and recomputes only its 16-frame stacks. Undefined values are None."""
+    frame_feats, stack_feats = video_features(video, cfg.feature_seed)
+    curves = "curves" in requested and len(video) >= cfg.window
+    if curves or any(m in requested for m in FLOW_METRICS):
+        warps, norms = _pair_metrics(video, cfg)
+    scalars = {
+        "mawe": lambda: _mawe(warps, norms, cfg.c),
+        "warp_error": lambda: _mean_warp(warps),
+        "optical_flow_score": lambda: float(np.mean(norms)),
+        "background_consistency": lambda: background_consistency_from_features(frame_feats),
+    }
+    values = {name: _defined(scalars[name]) for name in SCALAR_METRICS if name in requested}
+    if curves:
+        vid = _to_unit(video)
+        values["curves"] = []
+        for mark in range(cfg.window, len(video) + 1, cfg.window):
+            lo = mark - cfg.window
+            feats = frame_feats[lo:mark]
+            stacks = _stack_features(vid[lo:mark], cfg.feature_seed)
+            values["curves"].append({
+                "frame": mark,
+                "fid_proxy": frechet_distance(feature_stats(feats), ref_frames),
+                "mawe": _defined(lambda: _mawe(warps[lo:mark - 1], norms[lo:mark - 1], cfg.c)),
+                "background_consistency": background_consistency_from_features(feats),
+                "fvd_proxy": (frechet_distance(feature_stats(stacks), ref_stacks)
+                              if ref_stacks is not None and stacks.shape[0] else None),
+            })
+    return values, frame_feats, stack_feats
 
 
 def windowed_curves(video: np.ndarray, cfg: MetricConfig,
                     ref_frames: FeatureStats, ref_stacks: FeatureStats | None) -> list[dict]:
     """Metric values at frame marks window, 2*window, ...: each mark evaluates
     the previous `window` frames against the reference statistics."""
-    l = np.asarray(video).shape[0]
-    if l < cfg.window:
-        raise ContractError(f"video has {l} frames, below one window ({cfg.window})")
-    curves = []
-    for mark in range(cfg.window, l + 1, cfg.window):
-        chunk = video[mark - cfg.window:mark]
-        frame_feats, stack_feats = video_features(chunk, cfg.feature_seed)
-        point = {
-            "frame": mark,
-            "fid_proxy": frechet_distance(feature_stats(frame_feats), ref_frames),
-            "mawe": mawe(chunk, cfg),
-            "background_consistency": background_consistency_from_features(frame_feats),
-        }
-        if ref_stacks is not None and stack_feats.shape[0] >= 1:
-            point["fvd_proxy"] = frechet_distance(feature_stats(stack_feats), ref_stacks)
-        else:
-            point["fvd_proxy"] = None
-        curves.append(point)
-    return curves
+    if len(video) < cfg.window:
+        raise ContractError(f"video has {len(video)} frames, below one window ({cfg.window})")
+    return clip_metrics(video, cfg, ("curves",), ref_frames, ref_stacks)[0]["curves"]

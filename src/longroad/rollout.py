@@ -36,14 +36,6 @@ class RolloutState:
     fps: int
     iteration: int
 
-    @property
-    def memory_window(self) -> np.ndarray:
-        return self.frames[-self.m_memory:]
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.frames.shape[0] / self.fps
-
 
 def init(condition: np.ndarray, fps: int) -> RolloutState:
     """Start a rollout from M >= 1 clean condition frames."""

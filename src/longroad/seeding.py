@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_PURPOSES = {
+_PURPOSES = {  # ids are part of every stream key: never renumber or reuse one
     "dataset": 0,
     "noise": 1,
-    "timestep": 2,
     "density": 3,
     "dropout": 4,
     "sampler": 5,

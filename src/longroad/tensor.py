@@ -198,11 +198,6 @@ class Tensor:
     def transpose(self, axes=None):
         return transpose(self, axes)
 
-    def swap(self, a: int, b: int):
-        perm = list(range(self.ndim))
-        perm[a], perm[b] = perm[b], perm[a]
-        return transpose(self, perm)
-
 
 def _coerce(x, dtype) -> Tensor:
     if isinstance(x, Tensor):
@@ -545,11 +540,6 @@ def gather(table: Tensor, indices) -> Tensor:
         _accum(table, full)
 
     return Tensor._from_op(out, (table,), bw)
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    expanded = [reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concat(expanded, axis=axis)
 
 
 # -- gradient checking (float64 oracle) --------------------------------------------

@@ -27,6 +27,8 @@ from .seeding import rng_for
 
 MAGIC = b"TOYR"
 VERSION = 1
+# largest value each header field can hold (H, W and L are u16, fps is u8)
+HEADER_LIMITS = {"height": 0xFFFF, "width": 0xFFFF, "frames": 0xFFFF, "fps": 0xFF}
 CHANNELS = 3
 
 STRAIGHT, LEFT, RIGHT = 0, 1, 2
@@ -268,7 +270,10 @@ def read_clip(path) -> ClipRecord:
     pos += 4
     if pos + cap_len > len(blob):
         raise FormatError("truncated caption", offset=pos)
-    caption = blob[pos:pos + cap_len].decode("utf-8")
+    try:
+        caption = blob[pos:pos + cap_len].decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError("caption is not valid UTF-8", offset=pos + e.start)
     pos += cap_len
     if pos + l > len(blob):
         raise FormatError("truncated command track", offset=pos)

@@ -454,3 +454,47 @@ def test_criterion_10_format_suite(tmp_path):
         CK.load_tensors(tmp_path / "bad.idck")
     assert ei.value.offset == 0
     _ok(10, "clip and checkpoint round trips bit-exact; corrupt headers carry offsets")
+
+
+@pytest.mark.parametrize("argv", [["--fps", "300"],
+                                  ["--height", "70000", "--width", "8", "--clips", "1"]])
+def test_datagen_rejects_header_overflow(tmp_path, capsys, argv):
+    out = tmp_path / "data"
+    assert cli_main(["datagen", "--out", str(out), "--frames", "2", *argv]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any rendering
+
+
+def test_rollout_rejects_frame_count_overflow(tmp_path, capsys):
+    # default L = 32, M = 4: 4 + 2341 * 28 = 65552 frames; the checkpoint is
+    # never read, so a missing one shows the check runs before any sampling
+    out = tmp_path / "long.toyr"
+    assert cli_main(["rollout", "--ckpt", str(tmp_path / "absent.idck"),
+                     "--cond", "none", "--iters", "2341", "--out", str(out)]) == 1
+    assert "65552" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_names_are_format_errors(tmp_path):
+    from longroad.errors import FormatError
+    clip_path = tmp_path / "gen" / "c.toyr"
+    clip_path.parent.mkdir()
+    R.write_clip(R.render_clip(R.random_scene(np.random.default_rng(4), 16),
+                               16, 24, 4, 10), clip_path)
+    blob = bytearray(clip_path.read_bytes())
+    blob[18 + 2] = 0xFF  # caption bytes start after magic, header and length
+    clip_path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as ei:
+        R.read_clip(clip_path)
+    assert ei.value.offset == 20
+    assert cli_main(["eval", "--gen", str(clip_path.parent), "--ref",
+                     str(clip_path.parent), "--out", str(tmp_path / "r.json")]) == 2
+
+    ck = tmp_path / "m.idck"
+    CK.save_tensors(ck, {"weight": np.zeros(2, dtype=np.float32)})
+    blob = bytearray(ck.read_bytes())
+    blob[12 + 1] = 0xFE  # name bytes start after magic, header and length
+    ck.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as ei:
+        CK.load_tensors(ck)
+    assert ei.value.offset == 13

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from longroad import metrics as M
 from longroad import toyroad as R
 from longroad.cli import build_parser, main
 
@@ -232,3 +233,56 @@ class TestEval:
             assert main(["eval", "--gen", str(data), "--ref", str(data),
                          "--config", str(cfg), "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_undefined_window_mawe_is_null(self, tmp_path):
+        # clip 1 of the scene-seed-1 set: the window ending at frame 90 has
+        # warp error 0.000136 and zero flow, so its MAWE is undefined
+        gen = tmp_path / "gen"
+        gen.mkdir()
+        R.write_clip(R.render_clip(R.scene_for_clip(1, 1, 120), 32, 48, 120, 10),
+                     gen / "clip_0001.toyr")
+        out, csv = tmp_path / "r.json", tmp_path / "curves.csv"
+        rc = main(["eval", "--gen", str(gen), "--ref", str(gen), "--window", "30",
+                   "--out", str(out), "--csv", str(csv)])
+        assert rc == 0
+        curves = json.loads(out.read_text())["per_clip"]["clip_0001.toyr"]["curves"]
+        assert [p["frame"] for p in curves] == [30, 60, 90, 120]
+        for p in curves:
+            for key, val in p.items():
+                if (p["frame"], key) == (90, "mawe"):
+                    assert val is None
+                else:
+                    assert val is not None and np.isfinite(val)
+        assert "clip_0001.toyr,90,mawe," not in csv.read_text()
+
+    def test_one_flow_call_per_frame_pair(self, tmp_path, monkeypatch):
+        data = datagen(tmp_path, frames=24)
+        cfg = write_config(tmp_path)
+        calls = []
+        flow = M.estimate_flow
+        monkeypatch.setattr(M, "estimate_flow",
+                            lambda *a, **k: calls.append(1) or flow(*a, **k))
+        assert main(["eval", "--gen", str(data), "--ref", str(data), "--config",
+                     str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 2 * (24 - 1)
+        assert main(["eval", "--gen", str(data), "--ref", str(data), "--metrics",
+                     "fid_proxy,fvd_proxy", "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 2 * (24 - 1)  # no flow metric, no flow
+
+
+@pytest.mark.parametrize("section, argv", [
+    ({"eval": {"window": "40"}}, []),
+    ({"rollout": {"l_window": "8"}}, []),
+    ({"rollout": {"fps": 0}}, []),
+    ({"rollout": {"fps": 300}}, []),  # the clip header stores fps in one byte
+    ({"rollout": {"guidance_scale": "x"}}, []),
+    ({}, ["--window", "0"]),
+])
+def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):
+    data = datagen(tmp_path)
+    cfg = write_config(tmp_path, {k: {**v, **section.get(k, {})}
+                                  for k, v in TINY_CONFIG.items()})
+    rc = main(["eval", "--gen", str(data), "--ref", str(data), "--config", str(cfg),
+               *argv, "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "configuration error" in capsys.readouterr().err

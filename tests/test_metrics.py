@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from longroad import metrics as M
+from longroad import toyroad as R
 from longroad.errors import ConfigError, ContractError, MetricUndefinedError, ShapeError
 
 CFG = M.MetricConfig(search_radius=4, block=8)
@@ -250,3 +251,26 @@ class TestWindowedCurves:
         vid = rng.integers(0, 256, (100, 3, 32, 48)).astype(np.uint8)
         curves = M.windowed_curves(vid, CFG, ref_f, ref_s)
         assert [p["frame"] for p in curves] == [40, 80]
+
+    def test_one_pass_equals_per_window_definitions(self):
+        # 40-frame windows straddle the clip's 16-frame stacks
+        rng = np.random.default_rng(16)
+        ref_f, ref_s = self._ref_stats(rng)
+        vid = R.render_clip(R.scene_for_clip(1, 0, 80), 32, 48, 80, 10).frames
+        values, _, _ = M.clip_metrics(
+            vid, CFG, ("mawe", "warp_error", "optical_flow_score", "curves"), ref_f, ref_s)
+        assert values["mawe"] == M.mawe(vid, CFG)
+        assert values["warp_error"] == M.warp_error(vid, CFG)
+        assert values["optical_flow_score"] == M.optical_flow_score(vid, CFG)
+        assert [p["frame"] for p in values["curves"]] == [40, 80]
+        for p in values["curves"]:
+            chunk = vid[p["frame"] - CFG.window:p["frame"]]
+            frame_feats, stack_feats = M.video_features(chunk, CFG.feature_seed)
+            assert p == {
+                "frame": p["frame"],
+                "fid_proxy": M.frechet_distance(M.feature_stats(frame_feats), ref_f),
+                "mawe": M.mawe(chunk, CFG),
+                "background_consistency":
+                    M.background_consistency_from_features(frame_feats),
+                "fvd_proxy": M.frechet_distance(M.feature_stats(stack_feats), ref_s),
+            }

@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .diffusion import DenoisePrediction
 from .errors import ConfigError, ContractError
-from .nn import Embedding, Linear, Module, unit_norm_constants
+from .nn import Embedding, Linear, Module
 from .tensor import Tensor
 
 
@@ -142,18 +142,6 @@ def rope_tables(plan: RopePlan, head_dim: int, dtype) -> tuple[np.ndarray, np.nd
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
 
-def _apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    # x: (B, heads, L, dh); rotate disjoint half-pairs by the per-frame angles
-    half = x.shape[-1] // 2
-    x1 = x[..., :half]
-    x2 = x[..., half:]
-    c = Tensor(cos[None, None, :, :])
-    s = Tensor(sin[None, None, :, :])
-    r1 = T.sub(T.mul(x1, c), T.mul(x2, s))
-    r2 = T.add(T.mul(x1, s), T.mul(x2, c))
-    return T.concat([r1, r2], axis=-1)
-
-
 # -- layers -----------------------------------------------------------------------
 
 
@@ -167,26 +155,16 @@ class MultiHeadAttention(Module):
         self.wv = Linear(rng, hidden, hidden, dtype)
         self.wo = Linear(rng, hidden, hidden, dtype)
 
-    def _split(self, x: Tensor) -> Tensor:
-        b, n, h = x.shape
-        return T.transpose(T.reshape(x, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
-
     def logits(self, q_in: Tensor, kv_in: Tensor, rope=None) -> Tensor:
-        """Pre-softmax attention scores (B, heads, n_q, n_kv)."""
-        q = self._split(self.wq(q_in))
-        k = self._split(self.wk(kv_in))
-        if rope is not None:
-            cos, sin = rope
-            q = _apply_rope(q, cos, sin)
-            k = _apply_rope(k, cos, sin)
-        return T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), self.scale)
+        """Pre-softmax attention scores (B, heads, n_q, n_kv), values only,
+        from the same scoring code the attention op runs."""
+        _, _, scores = T.attention_scores(self.wq(q_in).data, self.wk(kv_in).data,
+                                          self.heads, self.scale, rope)
+        return Tensor(scores)
 
     def __call__(self, q_in: Tensor, kv_in: Tensor, rope=None) -> Tensor:
-        attn = T.softmax(self.logits(q_in, kv_in, rope), axis=-1)
-        v = self._split(self.wv(kv_in))
-        out = T.matmul(attn, v)
-        b, _, n, _ = out.shape
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, n, self.heads * self.head_dim))
+        out = T.attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in),
+                          self.heads, self.scale, rope)
         return self.wo(out)
 
 
@@ -229,17 +207,13 @@ class SpaceTimeBlock(Module):
         self.temporal_attn = MultiHeadAttention(rng, h, cfg.heads, dtype)
         self.cross_attn = MultiHeadAttention(rng, h, cfg.heads, dtype)
         self.mlp = Mlp(rng, h, cfg.mlp_ratio, dtype)
-        self._norm_gain, self._norm_bias = unit_norm_constants(h, dtype)
 
     def _chunks(self, c_mod: Tensor) -> list[Tensor]:
-        mods = self.mod(c_mod)  # (L, 12H)
-        h = self.hidden
-        l = mods.shape[0]
-        return [T.reshape(mods[:, i * h:(i + 1) * h], (l, 1, h)) for i in range(12)]
+        mods = T.reshape(self.mod(c_mod), (-1, 12, self.hidden))  # (L, 12, H)
+        return [mods[:, i:i + 1] for i in range(12)]               # each (L, 1, H)
 
     def _mod_norm(self, x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
-        normed = T.layer_norm(x, self._norm_gain, self._norm_bias, axis=-1, epsilon=1e-6)
-        return T.add(T.mul(normed, T.add(scale, 1.0)), shift)
+        return T.modulated_norm(x, shift, scale, 1e-6)
 
     def spatial_step(self, x: Tensor, mods: list[Tensor]) -> Tensor:
         shift, scale, gate = mods[0], mods[1], mods[2]
@@ -290,7 +264,6 @@ class VideoDenoiser(Module):
         self.blocks = [SpaceTimeBlock(rng, cfg, dtype) for _ in range(cfg.depth)]
         self.final_mod = Linear(rng, cfg.hidden, 2 * cfg.hidden, dtype, zero_init=True)
         self.head = Linear(rng, cfg.hidden, patch_dim * 2, dtype, zero_init=True)
-        self._norm_gain, self._norm_bias = unit_norm_constants(cfg.hidden, dtype)
         self._pos_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # -- conditioning --------------------------------------------------------------
@@ -358,8 +331,7 @@ class VideoDenoiser(Module):
         fm = self.final_mod(c_mod)                                   # (L, 2H)
         shift = T.reshape(fm[:, :cfg.hidden], (l, 1, cfg.hidden))
         scale = T.reshape(fm[:, cfg.hidden:], (l, 1, cfg.hidden))
-        x = T.layer_norm(x, self._norm_gain, self._norm_bias, axis=-1, epsilon=1e-6)
-        x = T.add(T.mul(x, T.add(scale, 1.0)), shift)
+        x = T.modulated_norm(x, shift, scale, 1e-6)
         out = self.head(x)                                           # (L, S, 2*p*p*C)
         full = unpatchify(out, cfg.patch, 2 * cfg.channels, h, w)    # (L, 2C, H, W)
         eps_hat = full[:, :cfg.channels]

@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .tensor import Tensor
 
 MAGIC = b"IDCK"
@@ -54,8 +54,11 @@ class _Reader:
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise DataError(f"cannot read checkpoint {path}: {e.strerror or e}") from e
     r = _Reader(blob)
     magic = r.take(4, "magic")
     if magic != MAGIC:

@@ -137,6 +137,8 @@ def cmd_rollout(args) -> int:
     cfg = cfgmod.load_config(args.config)
     if args.iters < 1:
         raise UsageError("--iters must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     l_window = cfg["rollout"]["l_window"]
     m_memory = cfg["train"]["memory_span_d"]   # full-resolution memory rule
     total = m_memory + args.iters * (l_window - m_memory)

@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 
 from .backbone import ModelConfig
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .metrics import MetricConfig
 from .toyroad import HEADER_LIMITS
 from .training import TrainConfig
@@ -50,11 +50,16 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     problems: list[str] = []
     user = {}
     if path is not None:
-        text = Path(path).read_text()
         try:
-            user = json.loads(text)
-        except json.JSONDecodeError as e:
+            raw = Path(path).read_bytes()
+        except OSError as e:
+            raise DataError(f"cannot read config {path}: {e.strerror or e}") from e
+        try:
+            user = json.loads(raw)
+        except ValueError as e:  # bad JSON or bad UTF-8
             raise ConfigError(f"config {path} is not valid JSON: {e}")
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
     if overrides:
         for section, vals in overrides.items():
             user.setdefault(section, {}).update(vals)
@@ -76,16 +81,37 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return merged
 
 
+_TRAIN_INTS = ("memory_span_d", "token_budget", "t_max")
+_TRAIN_INT_LISTS = ("phase_frames", "phase_steps", "alpha_set")
+_TRAIN_NUMBERS = ("lam", "lr", "beta1", "beta2", "adam_eps", "grad_clip",
+                  "cond_dropout", "beta_start", "beta_end")
+
+
 def _validate(cfg: dict) -> list[str]:
     problems = []
     try:
         model_config(cfg)
     except (ConfigError, TypeError, ValueError) as e:
         problems.append(f"model: {e}")
-    try:
-        train_config(cfg)
-    except (ConfigError, TypeError, ValueError) as e:
-        problems.append(f"train: {e}")
+    t = cfg["train"]
+    train_problems = (
+        [f"train.{k} must be an integer, got {t[k]!r}" for k in _TRAIN_INTS
+         if not _is_int(t[k])]
+        + [f"train.{k} must be a non-empty list of positive integers, got {t[k]!r}"
+           for k in _TRAIN_INT_LISTS
+           if not (isinstance(t[k], list) and t[k] and all(_is_int(v) and v >= 1 for v in t[k]))]
+        + [f"train.{k} must be a number, got {t[k]!r}" for k in _TRAIN_NUMBERS
+           if not _is_number(t[k])])
+    problems.extend(train_problems)
+    for section in ("data", "train"):  # seeds key numpy SeedSequences
+        seed = cfg[section]["seed"]
+        if not _is_int(seed) or seed < 0:
+            problems.append(f"{section}.seed must be a non-negative integer, got {seed!r}")
+    if not train_problems:
+        try:
+            train_config(cfg)
+        except ConfigError as e:
+            problems.append(f"train: {e}")
     try:
         metric_config(cfg)
     except ConfigError as e:
@@ -99,10 +125,14 @@ def _validate(cfg: dict) -> list[str]:
             elif key in HEADER_LIMITS and value > HEADER_LIMITS[key]:
                 problems.append(f"{section}.{key} must be <= {HEADER_LIMITS[key]} to fit "
                                 f"the clip header, got {value}")
+    patch = cfg["model"]["patch"]
+    for key in ("height", "width"):
+        size = cfg["data"][key]
+        if _is_int(size) and _is_int(patch) and patch >= 1 and size % patch:
+            problems.append(f"data.{key} ({size}) must be divisible by model.patch ({patch})")
     r = cfg["rollout"]
-    scale = r["guidance_scale"]
-    if not isinstance(scale, (int, float)) or isinstance(scale, bool):
-        problems.append(f"rollout.guidance_scale must be a number, got {scale!r}")
+    if not _is_number(r["guidance_scale"]):
+        problems.append(f"rollout.guidance_scale must be a number, got {r['guidance_scale']!r}")
     memory = cfg["train"]["memory_span_d"]
     if _is_int(r["l_window"]) and _is_int(memory) and r["l_window"] <= memory:
         problems.append("rollout.l_window must exceed train.memory_span_d")
@@ -111,6 +141,10 @@ def _validate(cfg: dict) -> list[str]:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def model_config(cfg: dict) -> ModelConfig:

@@ -58,10 +58,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.w)
-        if self.b is not None:
-            y = T.add(y, self.b)
-        return y
+        return T.linear(x, self.w, self.b)
 
 
 class Embedding(Module):
@@ -70,9 +67,3 @@ class Embedding(Module):
 
     def __call__(self, indices) -> Tensor:
         return T.gather(self.table, indices)
-
-
-def unit_norm_constants(dim: int, dtype=np.float32) -> tuple[Tensor, Tensor]:
-    """Fixed gain-1 / bias-0 pair for norms whose affine part comes from
-    modulation instead of learned weights."""
-    return (Tensor(np.ones(dim, dtype=dtype)), Tensor(np.zeros(dim, dtype=dtype)))

@@ -325,12 +325,21 @@ def sqrt(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.data
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    cdf = _erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def bw(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        _accum(a, g * (cdf + x * pdf))
+        # g * (cdf + x * pdf), built in one buffer from the forward cdf
+        pdf = x * x
+        pdf *= -0.5
+        np.exp(pdf, out=pdf)
+        pdf *= _INV_SQRT2PI
+        pdf *= x
+        pdf += cdf
+        pdf *= g
+        _accum(a, pdf)
 
     return Tensor._from_op(out.astype(a.dtype, copy=False), (a,), bw)
 
@@ -430,6 +439,143 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, _unbroadcast(gb, b.shape))
 
     return Tensor._from_op(out, (a, b), bw)
+
+
+# -- fused layers: one tape node each, hand-written backward -----------------------
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """`x @ w + b` over the last axis of `x`. Leading axes fold into one 2-D
+    GEMM, forward and backward, so the weight gradient is `x2ᵀ @ g2`."""
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs (..., d_in) x (d_in, d_out), got {x.shape} x {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias shape {b.shape} does not match weight {w.shape}")
+    d_in, d_out = w.shape
+    out = np.empty(x.shape[:-1] + (d_out,), dtype=np.result_type(x.data, w.data))
+    np.matmul(x.data.reshape(-1, d_in), w.data, out=out.reshape(-1, d_out))
+    if b is not None:
+        out += b.data
+
+    def bw(g):
+        g2 = g.reshape(-1, d_out)
+        if x.requires_grad:
+            gx = np.empty(x.shape, dtype=g.dtype)
+            np.matmul(g2, w.data.T, out=gx.reshape(-1, d_in))
+            _accum(x, gx)
+        if w.requires_grad:
+            _accum(w, x.data.reshape(-1, d_in).T @ g2)
+        if b is not None and b.requires_grad:
+            _accum(b, g2.sum(axis=0))
+
+    return Tensor._from_op(out, (x, w) if b is None else (x, w, b), bw)
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(B, n, H) -> (B, heads, n, H/heads), a view."""
+    b, n, h = x.shape
+    return x.reshape(b, n, heads, h // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(B, heads, n, dh) -> a new (B, n, heads*dh) array."""
+    b, heads, n, dh = x.shape
+    out = np.empty((b, n, heads * dh), dtype=x.dtype)
+    out.reshape(b, n, heads, dh)[...] = x.transpose(0, 2, 1, 3)
+    return out
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotary encoding: turn the disjoint half-pairs of the last axis of
+    (..., L, dh) by each position's angle; `_rotate(y, cos, -sin)` undoes it."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    out = np.empty(x.shape, dtype=x.dtype)
+    out[..., :half] = x1 * cos - x2 * sin
+    out[..., half:] = x1 * sin + x2 * cos
+    return out
+
+
+def attention_scores(q: np.ndarray, k: np.ndarray, heads: int, scale: float,
+                     rope=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split (B, n, H) projections into heads, rotate q and k by `rope`
+    (cos, sin tables of shape (n, dh/2)), and return the rotated heads with
+    the pre-softmax scores `qh @ khᵀ · scale` of shape (B, heads, n_q, n_kv)."""
+    qh, kh = _split_heads(q, heads), _split_heads(k, heads)
+    if rope is not None:
+        cos, sin = rope
+        qh, kh = _rotate(qh, cos, sin), _rotate(kh, cos, sin)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2))
+    scores *= scale
+    return qh, kh, scores
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
+              rope=None) -> Tensor:
+    """Multi-head `softmax(q kᵀ · scale) v` over (B, n_q, H) queries and
+    (B, n_kv, H) keys/values, heads merged back into (B, n_q, H). The tape
+    keeps only the attention weights and the rotated heads."""
+    if (q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or k.shape[0] != q.shape[0]
+            or k.shape[2] != q.shape[2] or q.shape[2] % heads):
+        raise ShapeError(f"attention needs (B, n_q, H) and two (B, n_kv, H) with H "
+                         f"divisible by {heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    qh, kh, p = attention_scores(q.data, k.data, heads, scale, rope)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    vh = _split_heads(v.data, heads)
+
+    def unrotate(gh):
+        return gh if rope is None else _rotate(gh, rope[0], -rope[1])
+
+    def bw(g):
+        gh = _split_heads(g, heads)
+        if v.requires_grad:
+            _accum(v, _merge_heads(np.matmul(p.swapaxes(-1, -2), gh)))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        ds = np.matmul(gh, vh.swapaxes(-1, -2))        # d(weights)
+        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+        ds *= p
+        ds *= scale                                     # d(scores)
+        if q.requires_grad:
+            _accum(q, _merge_heads(unrotate(np.matmul(ds, kh))))
+        if k.requires_grad:
+            _accum(k, _merge_heads(unrotate(np.matmul(ds.swapaxes(-1, -2), qh))))
+
+    return Tensor._from_op(_merge_heads(np.matmul(p, vh)), (q, k, v), bw)
+
+
+def modulated_norm(x: Tensor, shift: Tensor, scale: Tensor, eps: float) -> Tensor:
+    """`layer_norm(x) · (1 + scale) + shift` over the last axis, with no
+    learned gain or bias (adaLN modulation); `shift` and `scale` broadcast
+    against `x`."""
+    if shift.shape != scale.shape or x.ndim < 1 or x.shape[-1] == 0:
+        raise ShapeError(f"modulated_norm got x {x.shape}, shift {shift.shape}, "
+                         f"scale {scale.shape}")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xhat *= inv
+    gain = scale.data + 1.0
+    out = xhat * gain
+    out += shift.data
+
+    def bw(g):
+        if shift.requires_grad:
+            _accum(shift, _unbroadcast(g, shift.shape))
+        if scale.requires_grad:
+            _accum(scale, _unbroadcast(g * xhat, scale.shape))
+        if x.requires_grad:
+            d = g * gain                                # d(xhat)
+            m2 = np.einsum("...i,...i->...", d, xhat)[..., None] / x.shape[-1]
+            d -= d.mean(axis=-1, keepdims=True)
+            d -= xhat * m2
+            d *= inv
+            _accum(x, d)
+
+    return Tensor._from_op(out, (x, shift, scale), bw)
 
 
 # -- reductions -------------------------------------------------------------------

@@ -251,8 +251,11 @@ def write_clip(record: ClipRecord, path) -> None:
 
 
 def read_clip(path) -> ClipRecord:
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise DataError(f"cannot read clip {path}: {e.strerror or e}") from e
     if blob[:4] != MAGIC:
         raise FormatError(f"bad clip magic {blob[:4]!r}, expected {MAGIC!r}", offset=0)
     pos = 4

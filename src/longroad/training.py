@@ -91,9 +91,10 @@ def grad_norm(params: dict[str, Tensor]) -> float:
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients to the norm ball; returns the pre-clip norm."""
+    """Scale all gradients to the norm ball; returns the pre-clip norm.
+    A non-finite norm leaves the gradients as they are."""
     norm = grad_norm(params)
-    if max_norm > 0 and norm > max_norm:
+    if max_norm > 0 and max_norm < norm < np.inf:
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -124,11 +125,13 @@ def train_step(model, examples: list[TrainingExample], cfg: TrainConfig,
         T.mul(loss, inv).backward()
         losses.append(loss.item())
     mean_loss = float(np.mean(losses))
+    alphas = [ex.draw.alpha for ex in examples]
     if not np.isfinite(mean_loss):
-        alphas = [ex.draw.alpha for ex in examples]
         raise NumericFailure(f"non-finite loss {mean_loss} (alphas={alphas})")
     params = model.named_parameters()
     norm = clip_gradients(params, cfg.grad_clip)
+    if not np.isfinite(norm):  # stop before Adam applies inf or NaN updates
+        raise NumericFailure(f"non-finite gradient norm {norm} (alphas={alphas})")
     optimizer.step()
     return mean_loss, norm
 

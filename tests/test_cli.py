@@ -69,6 +69,16 @@ class TestDatagen:
         for fa, fb in zip(sorted(a.glob("*.toyr")), sorted(b.glob("*.toyr"))):
             assert fa.read_bytes() == fb.read_bytes()
 
+    @pytest.mark.parametrize("argv", [["--height", "30"], ["--seed", "-1"]])
+    def test_bad_size_or_seed_exit_one(self, tmp_path, capsys, argv):
+        # 30 rows do not tile into the default 4x4 patches; seeds key
+        # numpy seed sequences, which take no negative entries
+        rc = main(["datagen", "--out", str(tmp_path / "d"), "--clips", "1",
+                   "--frames", "4", *argv])
+        assert rc == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_zero_frames_usage_error(self, tmp_path):
         rc = main(["datagen", "--out", str(tmp_path / "x"), "--frames", "0"])
         assert rc == 1
@@ -179,6 +189,27 @@ class TestRollout:
         assert rc == 0
         assert R.read_clip(out).frames.shape[0] == 4 + 2 * 4
 
+    def test_negative_seed_exit_one(self, trained):
+        rc = main(["rollout", "--ckpt", trained["ckpt"], "--config", str(trained["cfg"]),
+                   "--cond", "none", "--iters", "1", "--seed", "-1",
+                   "--out", str(trained["tmp"] / "x.toyr")])
+        assert rc == 1
+
+    def test_missing_checkpoint_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.idck"
+        rc = main(["rollout", "--ckpt", str(missing), "--cond", "none", "--iters", "1",
+                   "--out", str(tmp_path / "x.toyr")])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_missing_condition_clip_exit_two(self, trained, capsys):
+        missing = trained["tmp"] / "missing.toyr"
+        rc = main(["rollout", "--ckpt", trained["ckpt"], "--config", str(trained["cfg"]),
+                   "--cond", str(missing), "--iters", "1",
+                   "--out", str(trained["tmp"] / "x.toyr")])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+
     def test_wrong_condition_length_exit_two(self, trained):
         cond = write_condition(trained["tmp"], frames=6)
         rc = main(["rollout", "--ckpt", trained["ckpt"], "--config",
@@ -213,6 +244,14 @@ class TestEval:
                    "--ref", str(tmp_path / "empty"),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 2
+
+    def test_missing_config_exit_two(self, tmp_path, capsys):
+        data = datagen(tmp_path)
+        missing = tmp_path / "missing.json"
+        rc = main(["eval", "--gen", str(data), "--ref", str(data), "--config",
+                   str(missing), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
 
     def test_csv_output(self, tmp_path):
         data = datagen(tmp_path, frames=16)
@@ -277,6 +316,15 @@ class TestEval:
     ({"rollout": {"fps": 300}}, []),  # the clip header stores fps in one byte
     ({"rollout": {"guidance_scale": "x"}}, []),
     ({}, ["--window", "0"]),
+    ({"train": {"memory_span_d": "4"}}, []),
+    ({"train": {"seed": 1.5}}, []),
+    ({"train": {"seed": -1}}, []),
+    ({"train": {"phase_frames": [8, 0]}}, []),
+    ({"train": {"alpha_set": 2}}, []),
+    ({"train": {"phase_steps": []}}, []),
+    ({"train": {"lr": "0.001"}}, []),
+    ({"train": {"grad_clip": True}}, []),
+    ({"model": {"patch": 4}, "data": {"height": 30}}, []),  # 30 rows, 4-row patches
 ])
 def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):
     data = datagen(tmp_path)
@@ -284,5 +332,17 @@ def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):
                                   for k, v in TINY_CONFIG.items()})
     rc = main(["eval", "--gen", str(data), "--ref", str(data), "--config", str(cfg),
                *argv, "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]",                          # not an object
+                                     b'{"eval": {"window": 8}}\xff'])  # not UTF-8
+def test_unparsable_config_exit_one(tmp_path, capsys, content):
+    data = datagen(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    rc = main(["eval", "--gen", str(data), "--ref", str(data), "--config", str(cfg),
+               "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err

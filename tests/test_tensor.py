@@ -290,3 +290,154 @@ class TestDeterminism:
         x = Tensor(np.zeros((2, 2), dtype=np.float32))
         assert T.add(T.gelu(x), 1.0).dtype == np.float32
         assert T.softmax(x, axis=0).dtype == np.float32
+
+
+# -- fused layers ---------------------------------------------------------------
+# The oracles are the compositions of primitive ops that `linear`, `attention`
+# and `modulated_norm` replaced. The fused ops sum in another order, so they
+# are compared in float64 within 1e-10 of the largest oracle magnitude.
+
+
+def oracle_linear(x, w, b=None):
+    y = T.matmul(x, w)
+    return y if b is None else T.add(y, b)
+
+
+def oracle_attention(q, k, v, heads, scale, rope=None):
+    def split(t):
+        b, n, h = t.shape
+        return T.transpose(T.reshape(t, (b, n, heads, h // heads)), (0, 2, 1, 3))
+
+    def rotate(t):
+        cos, sin = rope
+        half = t.shape[-1] // 2
+        x1, x2 = t[..., :half], t[..., half:]
+        c, s = Tensor(cos[None, None]), Tensor(sin[None, None])
+        return T.concat([T.sub(T.mul(x1, c), T.mul(x2, s)),
+                         T.add(T.mul(x1, s), T.mul(x2, c))], axis=-1)
+
+    qh, kh = split(q), split(k)
+    if rope is not None:
+        qh, kh = rotate(qh), rotate(kh)
+    logits = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), scale)
+    out = T.matmul(T.softmax(logits, axis=-1), split(v))
+    b, _, n, _ = out.shape
+    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, n, v.shape[-1]))
+
+
+def oracle_modulated_norm(x, shift, scale, eps):
+    h = x.shape[-1]
+    normed = T.layer_norm(x, Tensor(np.ones(h)), Tensor(np.zeros(h)), axis=-1, epsilon=eps)
+    return T.add(T.mul(normed, T.add(scale, 1.0)), shift)
+
+
+def rope_for(n, dh, rng):
+    ang = rng.uniform(-np.pi, np.pi, size=(n, dh // 2))
+    return np.cos(ang), np.sin(ang)
+
+
+def fused_cases():
+    """(name, fused fn, oracle fn, float64 inputs) for every fused op."""
+    rng = np.random.default_rng(40)
+
+    def ins(*shapes):
+        return [t64(rng.normal(size=s)) for s in shapes]
+
+    rope = rope_for(5, 4, rng)
+    return [
+        ("linear", T.linear, oracle_linear, ins((2, 3, 4), (4, 5), (5,))),
+        ("linear_2d_no_bias", T.linear, oracle_linear, ins((3, 4), (4, 2))),
+        ("attention", lambda q, k, v: T.attention(q, k, v, 2, 0.7),
+         lambda q, k, v: oracle_attention(q, k, v, 2, 0.7), ins(*[(2, 5, 8)] * 3)),
+        ("attention_rope", lambda q, k, v: T.attention(q, k, v, 2, 0.7, rope),
+         lambda q, k, v: oracle_attention(q, k, v, 2, 0.7, rope), ins(*[(3, 5, 8)] * 3)),
+        ("attention_cross", lambda q, k, v: T.attention(q, k, v, 2, 0.5),
+         lambda q, k, v: oracle_attention(q, k, v, 2, 0.5), ins((2, 4, 8), (2, 3, 8), (2, 3, 8))),
+        ("modulated_norm", lambda x, s, c: T.modulated_norm(x, s, c, 1e-6),
+         lambda x, s, c: oracle_modulated_norm(x, s, c, 1e-6), ins((3, 4, 6), (3, 1, 6), (3, 1, 6))),
+    ]
+
+
+def weighted_sum(y, seed=41):
+    """A scalar whose gradient differs at every output coordinate."""
+    w = np.random.default_rng(seed).normal(size=y.shape)
+    return T.reduce_sum(T.mul(y, Tensor(w)))
+
+
+def tape_size(loss):
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for p in todo.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return len(seen)
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("case", fused_cases(), ids=lambda c: c[0])
+    def test_finite_difference(self, case):
+        _, fused, _, inputs = case
+        check_grads(lambda *a: weighted_sum(fused(*a)), inputs, tol=1e-6)
+
+    @pytest.mark.parametrize("case", fused_cases(), ids=lambda c: c[0])
+    def test_matches_unfused_composition(self, case):
+        _, fused, oracle, inputs = case
+        results = []
+        for fn in (fused, oracle):
+            for t in inputs:
+                t.zero_grad()
+            y = fn(*inputs)
+            weighted_sum(y).backward()
+            results.append([y.data] + [t.grad for t in inputs])
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_one_tape_node_each(self):
+        for _, fused, _, inputs in fused_cases():
+            assert tape_size(fused(*inputs)) == 1 + len(inputs)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.linear(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))))
+        with pytest.raises(ShapeError):
+            T.attention(*[t64(np.zeros((1, 2, 6)))] * 3, heads=4, scale=1.0)
+        with pytest.raises(ShapeError):
+            T.modulated_norm(t64(np.zeros((2, 3))), t64(np.zeros(3)), t64(np.zeros(2)), 1e-6)
+
+    def test_block_matches_oracle_with_fewer_tape_nodes(self, monkeypatch):
+        from longroad import backbone as B
+
+        cfg = B.ModelConfig(depth=1, hidden=8, heads=2, patch=2, channels=1, t_max=20,
+                            text_vocab=8, max_original_index=64)
+        model = B.VideoDenoiser(cfg, np.random.default_rng(0), dtype=np.float64)
+        rng = np.random.default_rng(1)
+        for p in model.parameters():
+            p.data = rng.normal(0, 0.3, size=p.shape)
+        block = model.blocks[0]
+        x = rng.normal(size=(3, 4, 8))
+        cond = B.ConditionSet(np.array([1, 2]), np.zeros(3, dtype=np.int64), 10.0, 4.0, 4.0)
+        rope = B.rope_tables(B.RopePlan(np.array([0, 2, 5])), cfg.head_dim, np.float64)
+
+        def run():
+            model.zero_grad()
+            c_mod = model.t_embed(np.array([3, 7, 11]), (10.0, 4.0, 4.0))
+            out = block(t64(x), c_mod, model._condition_kv(cond, 3), rope)
+            loss = weighted_sum(out)
+            nodes = tape_size(loss)
+            loss.backward()
+            return out.data, {k: p.grad for k, p in block.named_parameters().items()}, nodes
+
+        out, grads, nodes = run()
+        monkeypatch.setattr(T, "linear", oracle_linear)
+        monkeypatch.setattr(T, "attention", oracle_attention)
+        monkeypatch.setattr(T, "modulated_norm", oracle_modulated_norm)
+        want_out, want_grads, want_nodes = run()
+
+        assert np.max(np.abs(out - want_out)) <= 1e-10 * np.max(np.abs(want_out))
+        # key-bias gradients are zero up to rounding (softmax ignores a shift
+        # shared by all keys), so gradients are compared at the block's scale
+        scale = max(np.max(np.abs(g)) for g in want_grads.values())
+        for k, g in want_grads.items():
+            assert np.max(np.abs(grads[k] - g)) <= 1e-10 * scale, k
+        assert nodes < want_nodes

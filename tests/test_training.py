@@ -76,6 +76,27 @@ class TestTrainStep:
                           [np.random.default_rng(5)], [np.random.default_rng(6)])
         assert "alphas" in str(ei.value)
 
+    def test_non_finite_grad_norm_stops_before_update(self, dataset, monkeypatch):
+        cfg = tiny_cfg()
+        model = tiny_model()
+        before = {k: p.data.copy() for k, p in model.named_parameters().items()}
+        sched = D.build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
+        opt = TR.Adam(model.named_parameters(), cfg.lr)
+        clip = TR.clip_gradients
+
+        def plant_inf(params, max_norm):
+            params["patch_embed.w"].grad[0, 0] = np.inf
+            return clip(params, max_norm)
+
+        monkeypatch.setattr(TR, "clip_gradients", plant_inf)
+        with pytest.raises(NumericFailure) as ei:
+            TR.train_step(model, [one_example(dataset, cfg)], cfg, sched, opt,
+                          [np.random.default_rng(7)], [np.random.default_rng(8)])
+        assert "gradient norm" in str(ei.value)
+        assert opt.t == 0
+        for k, p in model.named_parameters().items():
+            assert p.data.tobytes() == before[k].tobytes(), k
+
     def test_gradient_clipping_scales_to_ball(self):
         p = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
         p.grad = np.full(4, 10.0, dtype=np.float32)

@@ -302,100 +302,54 @@ def respaced_schedule(schedule: NoiseSchedule, subset: np.ndarray) -> NoiseSched
     return NoiseSchedule(1.0 - abar / prev, require_monotonic=False)
 
 
-def sample_clip(model, condition_frames: np.ndarray, partition: FramePartition,
+def sample_clip(model, memory: np.ndarray, partition: FramePartition,
                 schedule: NoiseSchedule, steps: int, rng: np.random.Generator,
-                cond=None, plan=None, guidance_scale: float = 1.0,
-                clip_x0: bool = True) -> np.ndarray:
-    """Reverse process over the future segment with memory frames pinned.
-
-    `model.forward(xt, t, cond, plan)` must return a DenoisePrediction over
-    all frames. Memory frames of the returned clip are bit-equal to
-    `condition_frames`. Classifier-free guidance runs a second, null-condition
-    forward only when `guidance_scale != 1.0`.
+                cond=None, plan=None, guidance_scale: float = 1.0) -> np.ndarray:
+    """Reverse process over the future segment with M >= 0 memory frames
+    pinned; M = 0 samples a whole clip. `memory` is (M, C, H, W) and sets the
+    frame shape and dtype; the returned clip's memory rows are bit-equal to it.
+    `model.forward(xt, t, cond, plan)` returns a DenoisePrediction over all
+    frames. The x0 estimate is clipped to [-1, 1]. Classifier-free guidance
+    runs a second, null-condition forward only when `guidance_scale != 1.0`.
     """
     m = partition.m_memory
-    if condition_frames.shape[0] != m:
-        raise ContractError(
-            f"condition has {condition_frames.shape[0]} frames, partition expects M={m}"
-        )
+    if memory.shape[0] != m:
+        raise ContractError(f"memory has {memory.shape[0]} frames, partition expects M={m}")
     subset_desc = strided_timesteps(schedule.t_max, steps)
     sub = respaced_schedule(schedule, subset_desc)
-    asc = subset_desc[::-1]
-
-    frame_shape = condition_frames.shape[1:] if m > 0 else None
-    if frame_shape is None:
-        raise ContractError("sampling needs at least one condition frame; "
-                            "use an all-future partition via sample_future_only")
-    dtype = condition_frames.dtype
-    fut = rng.standard_normal((partition.n_future,) + frame_shape).astype(dtype)
+    clip = np.empty((partition.l_total,) + memory.shape[1:], dtype=memory.dtype)
+    clip[:m] = memory
+    fut = clip[m:]  # view: every step writes its result back in place
+    fut[...] = rng.standard_normal(fut.shape)
+    t_vec = np.zeros(partition.l_total, dtype=np.int64)
 
     with T.no_grad():
-        for k in range(len(asc), 0, -1):
-            t_orig = int(asc[k - 1])
-            fut = _reverse_step(model, condition_frames, fut, partition, schedule,
-                                sub, k, t_orig, rng, cond, plan, guidance_scale,
-                                clip_x0)
-    out = np.empty((partition.l_total,) + frame_shape, dtype=dtype)
-    out[:m] = condition_frames
-    out[m:] = fut
-    return out
+        # step k of the respaced schedule is original timestep subset_desc[-k]
+        for k, t_orig in zip(range(len(subset_desc), 0, -1), subset_desc.tolist()):
+            t_vec[m:] = t_orig
+            pred = model.forward(clip, t_vec, cond, plan)
+            eps_hat = pred.eps_hat.data[m:]
+            if guidance_scale != 1.0:
+                eps_null = model.forward(clip, t_vec, None, plan).eps_hat.data[m:]
+                eps_hat = eps_null + guidance_scale * (eps_hat - eps_null)
+
+            abar = schedule.alpha_bar[t_orig]
+            x0_hat = np.clip((fut - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar), -1.0, 1.0)
+            mu, _ = posterior_params(x0_hat.astype(np.float64), fut.astype(np.float64), k, sub)
+            log_tilde = sub.posterior_log_variance_clipped[k]
+            log_var = (pred.v_hat.data[m:].astype(np.float64)
+                       * (np.log(sub.beta[k]) - log_tilde) + log_tilde)
+            if k > 1:
+                mu = mu + np.exp(0.5 * log_var) * rng.standard_normal(fut.shape)
+            fut[...] = mu
+            del pred, eps_hat, x0_hat, mu, log_var  # the next forward sets peak memory
+    return clip
 
 
 def sample_future_only(model, l_total: int, frame_shape: tuple, schedule: NoiseSchedule,
                        steps: int, rng: np.random.Generator, cond=None, plan=None,
-                       guidance_scale: float = 1.0, clip_x0: bool = True,
-                       dtype=np.float32) -> np.ndarray:
-    """Unconditional bootstrap: denoise a whole clip with no memory frames."""
-    subset_desc = strided_timesteps(schedule.t_max, steps)
-    sub = respaced_schedule(schedule, subset_desc)
-    asc = subset_desc[::-1]
-    fut = rng.standard_normal((l_total,) + tuple(frame_shape)).astype(dtype)
-    partition = _AllFuture(l_total)
-    with T.no_grad():
-        for k in range(len(asc), 0, -1):
-            t_orig = int(asc[k - 1])
-            fut = _reverse_step(model, np.empty((0,) + tuple(frame_shape), dtype=dtype),
-                                fut, partition, schedule, sub, k, t_orig, rng,
-                                cond, plan, guidance_scale, clip_x0)
-    return fut
-
-
-class _AllFuture:
-    """Partition stand-in for bootstrap sampling (M = 0 is rejected by
-    FramePartition at training time, but valid for pure generation)."""
-
-    def __init__(self, l_total: int):
-        self.l_total = l_total
-        self.m_memory = 0
-        self.n_future = l_total
-
-
-def _reverse_step(model, memory: np.ndarray, fut: np.ndarray, partition,
-                  schedule: NoiseSchedule, sub: NoiseSchedule, k: int, t_orig: int,
-                  rng, cond, plan, guidance_scale: float, clip_x0: bool) -> np.ndarray:
-    m = partition.m_memory
-    clip = np.concatenate([memory, fut], axis=0) if m else fut
-    t_vec = np.zeros(partition.l_total, dtype=np.int64)
-    t_vec[m:] = t_orig
-
-    pred = model.forward(clip, t_vec, cond, plan)
-    eps_hat = pred.eps_hat.data[m:]
-    v_hat = pred.v_hat.data[m:]
-    if guidance_scale != 1.0:
-        null_pred = model.forward(clip, t_vec, None, plan)
-        eps_null = null_pred.eps_hat.data[m:]
-        eps_hat = eps_null + guidance_scale * (eps_hat - eps_null)
-
-    abar = schedule.alpha_bar[t_orig]
-    x0_hat = (fut - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
-    if clip_x0:
-        x0_hat = np.clip(x0_hat, -1.0, 1.0)
-
-    mu, _ = posterior_params(x0_hat.astype(np.float64), fut.astype(np.float64), k, sub)
-    log_beta = np.log(sub.beta[k])
-    log_tilde = sub.posterior_log_variance_clipped[k]
-    log_var = v_hat.astype(np.float64) * (log_beta - log_tilde) + log_tilde
-    if k > 1:
-        z = rng.standard_normal(fut.shape)
-        mu = mu + np.exp(0.5 * log_var) * z
-    return mu.astype(fut.dtype)
+                       guidance_scale: float = 1.0) -> np.ndarray:
+    """Text-only bootstrap: `sample_clip` with no memory frames, in float32."""
+    memory = np.empty((0,) + tuple(frame_shape), dtype=np.float32)
+    return sample_clip(model, memory, FramePartition(l_total, 0), schedule, steps, rng,
+                       cond=cond, plan=plan, guidance_scale=guidance_scale)

@@ -24,7 +24,6 @@ class SamplerSettings:
     l_window: int             # frames per sampled clip
     steps: int = 50           # reverse-process steps
     guidance_scale: float = 1.0
-    clip_x0: bool = True
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,7 @@ def bootstrap(model, schedule: NoiseSchedule, cond: ConditionSet | None,
     plan = RopePlan(np.arange(l))
     chunk = sample_future_only(model, l, frame_shape, schedule, settings.steps,
                                rng, cond=cond, plan=plan,
-                               guidance_scale=settings.guidance_scale,
-                               clip_x0=settings.clip_x0)
+                               guidance_scale=settings.guidance_scale)
     return RolloutState(frames=chunk, m_memory=m_memory, fps=fps, iteration=1)
 
 
@@ -80,8 +78,7 @@ def step(state: RolloutState, model, schedule: NoiseSchedule,
     plan = RopePlan(np.arange(l))
     memory = np.ascontiguousarray(state.frames[-m:])
     clip = sample_clip(model, memory, partition, schedule, settings.steps, rng,
-                       cond=cond, plan=plan, guidance_scale=settings.guidance_scale,
-                       clip_x0=settings.clip_x0)
+                       cond=cond, plan=plan, guidance_scale=settings.guidance_scale)
     if clip[:m].tobytes() != memory.tobytes():
         raise ContractError("sampler violated the memory pinning contract")
     frames = np.concatenate([state.frames, clip[m:]], axis=0)

@@ -398,6 +398,83 @@ class TestSampler:
         np.testing.assert_array_equal(full, np.arange(40, 0, -1))
 
 
+def oracle_sample(model, memory, l_total, schedule, steps, rng, cond, plan, guidance_scale):
+    """The two reverse loops the single sampler replaced, as reference: with
+    memory, the clip is re-concatenated from memory and future rows on every
+    step; without memory (M = 0), the future rows alone are the clip."""
+    m = memory.shape[0]
+    subset_desc = D.strided_timesteps(schedule.t_max, steps)
+    sub = D.respaced_schedule(schedule, subset_desc)
+    asc = subset_desc[::-1]
+    fut = rng.standard_normal((l_total - m,) + memory.shape[1:]).astype(memory.dtype)
+    with T.no_grad():
+        for k in range(len(asc), 0, -1):
+            t_orig = int(asc[k - 1])
+            clip = np.concatenate([memory, fut], axis=0) if m else fut
+            t_vec = np.zeros(l_total, dtype=np.int64)
+            t_vec[m:] = t_orig
+            pred = model.forward(clip, t_vec, cond, plan)
+            eps_hat = pred.eps_hat.data[m:]
+            v_hat = pred.v_hat.data[m:]
+            if guidance_scale != 1.0:
+                eps_null = model.forward(clip, t_vec, None, plan).eps_hat.data[m:]
+                eps_hat = eps_null + guidance_scale * (eps_hat - eps_null)
+            abar = schedule.alpha_bar[t_orig]
+            x0_hat = (fut - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
+            x0_hat = np.clip(x0_hat, -1.0, 1.0)
+            mu, _ = D.posterior_params(x0_hat.astype(np.float64), fut.astype(np.float64), k, sub)
+            log_beta = np.log(sub.beta[k])
+            log_tilde = sub.posterior_log_variance_clipped[k]
+            log_var = v_hat.astype(np.float64) * (log_beta - log_tilde) + log_tilde
+            if k > 1:
+                z = rng.standard_normal(fut.shape)
+                mu = mu + np.exp(0.5 * log_var) * z
+            fut = mu.astype(fut.dtype)
+    return np.concatenate([memory, fut], axis=0) if m else fut
+
+
+class TestSingleSampler:
+    L = 5
+
+    def setup_method(self):
+        from longroad import backbone as B
+
+        cfg = B.ModelConfig(depth=2, hidden=8, heads=2, patch=2, channels=1, t_max=20,
+                            text_vocab=8, max_original_index=64)
+        self.model = B.VideoDenoiser(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for p in self.model.parameters():  # gates and head start at zero
+            p.data = p.data + rng.normal(0, 0.1, size=p.shape).astype(p.dtype)
+        self.sched = D.build_schedule(20, 1e-3, 0.05)
+        self.plan = B.RopePlan(np.arange(self.L))
+        self.cond = B.ConditionSet(np.array([1, 2]), np.zeros(self.L, dtype=np.int64),
+                                   10.0, 4.0, 4.0)
+        self.frames = rng.uniform(-1, 1, size=(self.L, 1, 4, 4)).astype(np.float32)
+
+    @pytest.mark.parametrize("guidance", [1.0, 1.5])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_bit_equal_to_two_loop_oracle(self, m, guidance):
+        memory = self.frames[:m]
+        want = oracle_sample(self.model, memory, self.L, self.sched, 6,
+                             np.random.default_rng(5), self.cond, self.plan, guidance)
+        got = D.sample_clip(self.model, memory, D.FramePartition(self.L, m), self.sched, 6,
+                            np.random.default_rng(5), cond=self.cond, plan=self.plan,
+                            guidance_scale=guidance)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        if m == 0:
+            boot = D.sample_future_only(self.model, self.L, (1, 4, 4), self.sched, 6,
+                                        np.random.default_rng(5), cond=self.cond,
+                                        plan=self.plan, guidance_scale=guidance)
+            assert boot.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m_given,m_part", [(1, 2), (2, 0), (0, 1)])
+    def test_memory_length_must_match_partition(self, m_given, m_part):
+        with pytest.raises(ContractError):
+            D.sample_clip(self.model, self.frames[:m_given], D.FramePartition(self.L, m_part),
+                          self.sched, 6, np.random.default_rng(0))
+
+
 class TestMarginalConsistency:
     def test_stepwise_composition_matches_marginal(self):
         # Compose q(x_t | x_{t-1}) t times (oracle) and compare moments with

@@ -59,7 +59,6 @@ class RopePlan:
     """Original-index positions of the frames in a (possibly subsampled) clip."""
 
     original_indices: np.ndarray
-    rope_base: float = 10000.0
 
     def __post_init__(self):
         idx = np.asarray(self.original_indices, dtype=np.int64)
@@ -134,10 +133,12 @@ def spatial_position_table(gh: int, gw: int, dim: int) -> np.ndarray:
     return grid
 
 
-def rope_tables(plan: RopePlan, head_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin rotation tables (L, head_dim/2) from original frame indices."""
+def rope_tables(plan: RopePlan, head_dim: int, dtype,
+                base: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin rotation tables (L, head_dim/2) from original frame indices;
+    `base` is the model's `rope_base`."""
     half = head_dim // 2
-    inv = plan.rope_base ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
+    inv = base ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
     ang = plan.original_indices[:, None].astype(np.float64) * inv[None, :]
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
@@ -323,7 +324,7 @@ class VideoDenoiser(Module):
         x = T.add(x, Tensor(self._positions(h // cfg.patch, w // cfg.patch)[None, :, :]))
         c_mod = self.t_embed(t, scalars)
         cond_kv = self._condition_kv(cond, l)
-        rope = rope_tables(plan, cfg.head_dim, self.dtype)
+        rope = rope_tables(plan, cfg.head_dim, self.dtype, cfg.rope_base)
 
         for block in self.blocks:
             x = block(x, c_mod, cond_kv, rope)

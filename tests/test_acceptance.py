@@ -232,9 +232,11 @@ def test_criterion_05_density_and_rope():
     ht_dense = Tensor(np.ascontiguousarray(x_dense.transpose(1, 0, 2)))
     ht_sub = Tensor(np.ascontiguousarray(x_dense[[0, 4]].transpose(1, 0, 2)))
     lg_dense = attn.logits(ht_dense, ht_dense,
-                           B.rope_tables(B.RopePlan(np.arange(8)), 4, np.float32)).data
+                           B.rope_tables(B.RopePlan(np.arange(8)), 4, np.float32,
+                                         model.cfg.rope_base)).data
     lg_sub = attn.logits(ht_sub, ht_sub,
-                         B.rope_tables(B.RopePlan(np.array([0, 4])), 4, np.float32)).data
+                         B.rope_tables(B.RopePlan(np.array([0, 4])), 4, np.float32,
+                                       model.cfg.rope_base)).data
     np.testing.assert_allclose(lg_sub, lg_dense[:, :, [0, 4]][:, :, :, [0, 4]], atol=1e-5)
     elapsed = time.time() - start
     assert elapsed <= 60

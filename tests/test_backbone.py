@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from longroad import backbone as B
+from longroad import config as C
 from longroad import tensor as T
 from longroad.errors import ConfigError, ContractError
 from longroad.tensor import Tensor
@@ -132,7 +133,7 @@ class TestTemporalStep:
         block = model.blocks[0]
         x = Tensor(np.random.default_rng(1).normal(size=(4, 2, 8)).astype(np.float32))
         c = model.t_embed(np.zeros(4, dtype=np.int64), (10.0, 4.0, 4.0))
-        rope = B.rope_tables(plan_for(np.arange(4)), 4, np.float32)
+        rope = B.rope_tables(plan_for(np.arange(4)), 4, np.float32, model.cfg.rope_base)
         out = block.temporal_step(x, block._chunks(c), rope)
         np.testing.assert_array_equal(out.data, x.data)
 
@@ -148,8 +149,8 @@ class TestTemporalStep:
 
         ht_dense = Tensor(np.ascontiguousarray(x_dense.transpose(1, 0, 2)))
         ht_sub = Tensor(np.ascontiguousarray(x_sub.transpose(1, 0, 2)))
-        rope_dense = B.rope_tables(plan_for(np.arange(8)), 4, np.float32)
-        rope_sub = B.rope_tables(plan_for([0, 4]), 4, np.float32)
+        rope_dense = B.rope_tables(plan_for(np.arange(8)), 4, np.float32, model.cfg.rope_base)
+        rope_sub = B.rope_tables(plan_for([0, 4]), 4, np.float32, model.cfg.rope_base)
 
         lg_dense = attn.logits(ht_dense, ht_dense, rope_dense).data
         lg_sub = attn.logits(ht_sub, ht_sub, rope_sub).data
@@ -163,9 +164,32 @@ class TestTemporalStep:
         x = np.random.default_rng(9).normal(size=(3, 5, 8))
         ht = Tensor(np.ascontiguousarray(x.transpose(1, 0, 2)))
         base = np.array([0, 3, 6])
-        a = attn.logits(ht, ht, B.rope_tables(plan_for(base), 4, np.float64)).data
-        b = attn.logits(ht, ht, B.rope_tables(plan_for(base + 57), 4, np.float64)).data
+        a = attn.logits(ht, ht, B.rope_tables(plan_for(base), 4, np.float64, cfg.rope_base)).data
+        b = attn.logits(ht, ht, B.rope_tables(plan_for(base + 57), 4, np.float64, cfg.rope_base)).data
         np.testing.assert_allclose(a, b, atol=1e-6)
+
+    def test_config_rope_base_changes_temporal_logits(self, monkeypatch):
+        seen = []
+        call = B.MultiHeadAttention.__call__
+
+        def record(attn, q_in, kv_in, rope=None):
+            if rope is not None:
+                seen.append(rope)
+            return call(attn, q_in, kv_in, rope)
+
+        monkeypatch.setattr(B.MultiHeadAttention, "__call__", record)
+        small = dict(depth=1, hidden=8, heads=2, patch=2, channels=1, t_max=20,
+                     text_vocab=8, max_original_index=256)
+        ht = Tensor(np.random.default_rng(9).normal(size=(4, 3, 8)).astype(np.float32))
+        logits = []
+        for base in (10000.0, 50.0):
+            run_cfg = C.load_config(overrides={"model": {**small, "rope_base": base}})
+            model = randomize(B.VideoDenoiser(C.model_config(run_cfg),
+                                              np.random.default_rng(0)), seed=6)
+            model.forward(np.zeros((3, 1, 4, 4), np.float32), np.array([0, 5, 5]), None,
+                          plan_for([0, 4, 9]))
+            logits.append(model.blocks[0].temporal_attn.logits(ht, ht, seen[-1]).data)
+        assert np.any(logits[0] != logits[1])
 
     def test_plan_length_mismatch(self):
         model = B.VideoDenoiser(tiny_config(), np.random.default_rng(0))

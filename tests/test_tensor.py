@@ -417,7 +417,8 @@ class TestFusedOps:
         block = model.blocks[0]
         x = rng.normal(size=(3, 4, 8))
         cond = B.ConditionSet(np.array([1, 2]), np.zeros(3, dtype=np.int64), 10.0, 4.0, 4.0)
-        rope = B.rope_tables(B.RopePlan(np.array([0, 2, 5])), cfg.head_dim, np.float64)
+        rope = B.rope_tables(B.RopePlan(np.array([0, 2, 5])), cfg.head_dim, np.float64,
+                             cfg.rope_base)
 
         def run():
             model.zero_grad()

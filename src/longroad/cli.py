@@ -53,12 +53,8 @@ def build_parser() -> _Parser:
 
     d = sub.add_parser("datagen", help="render a synthetic clip dataset")
     d.add_argument("--out", required=True, help="output dataset directory")
-    d.add_argument("--clips", type=int, default=8)
-    d.add_argument("--frames", type=int, default=64)
-    d.add_argument("--height", type=int, default=32)
-    d.add_argument("--width", type=int, default=48)
-    d.add_argument("--fps", type=int, default=10)
-    d.add_argument("--seed", type=int, default=0)
+    for key, default in cfgmod.DEFAULTS["data"].items():
+        d.add_argument(f"--{key}", type=int, default=default)
 
     t = sub.add_parser("train", help="run the curriculum training loop")
     t.add_argument("--config", default=None, help="JSON run configuration")
@@ -92,11 +88,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_datagen(args) -> int:
-    if min(args.clips, args.frames, args.height, args.width, args.fps) < 1:
-        raise UsageError("clips/frames/height/width/fps must all be >= 1")
     run_cfg = cfgmod.load_config(None, overrides={"data": {
-        "clips": args.clips, "frames": args.frames, "height": args.height,
-        "width": args.width, "fps": args.fps, "seed": args.seed}})
+        key: getattr(args, key) for key in cfgmod.DEFAULTS["data"]}})
     R.generate_dataset(args.out, args.clips, args.frames, args.height,
                        args.width, args.fps, args.seed,
                        extra_manifest={"config_hash": cfgmod.config_hash(run_cfg)})

@@ -342,7 +342,7 @@ def sample_clip(model, memory: np.ndarray, partition: FramePartition,
             if k > 1:
                 mu = mu + np.exp(0.5 * log_var) * rng.standard_normal(fut.shape)
             fut[...] = mu
-            del pred, eps_hat, x0_hat, mu, log_var  # the next forward sets peak memory
+            del pred, eps_hat, x0_hat, mu, log_var  # memory peaks in the next forward
     return clip
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from longroad import backbone as B
 from longroad import diffusion as D
 from longroad import tensor as T
 from longroad.errors import ConfigError, ContractError
@@ -437,8 +438,6 @@ class TestSingleSampler:
     L = 5
 
     def setup_method(self):
-        from longroad import backbone as B
-
         cfg = B.ModelConfig(depth=2, hidden=8, heads=2, patch=2, channels=1, t_max=20,
                             text_vocab=8, max_original_index=64)
         self.model = B.VideoDenoiser(cfg, np.random.default_rng(0))

@@ -310,7 +310,10 @@ def sample_clip(model, memory: np.ndarray, partition: FramePartition,
     frame shape and dtype; the returned clip's memory rows are bit-equal to it.
     `model.forward(xt, t, cond, plan)` returns a DenoisePrediction over all
     frames. The x0 estimate is clipped to [-1, 1]. Classifier-free guidance
-    runs a second, null-condition forward only when `guidance_scale != 1.0`.
+    runs a second forward with `cond.nulled()`, the condition training's
+    dropout shows the model, only when `guidance_scale != 1.0` and there is a
+    condition: without one both predictions are the same and guidance is a
+    no-op.
     """
     m = partition.m_memory
     if memory.shape[0] != m:
@@ -322,6 +325,7 @@ def sample_clip(model, memory: np.ndarray, partition: FramePartition,
     fut = clip[m:]  # view: every step writes its result back in place
     fut[...] = rng.standard_normal(fut.shape)
     t_vec = np.zeros(partition.l_total, dtype=np.int64)
+    null = cond.nulled() if guidance_scale != 1.0 and cond is not None else None
 
     with T.no_grad():
         # step k of the respaced schedule is original timestep subset_desc[-k]
@@ -329,8 +333,8 @@ def sample_clip(model, memory: np.ndarray, partition: FramePartition,
             t_vec[m:] = t_orig
             pred = model.forward(clip, t_vec, cond, plan)
             eps_hat = pred.eps_hat.data[m:]
-            if guidance_scale != 1.0:
-                eps_null = model.forward(clip, t_vec, None, plan).eps_hat.data[m:]
+            if null is not None:
+                eps_null = model.forward(clip, t_vec, null, plan).eps_hat.data[m:]
                 eps_hat = eps_null + guidance_scale * (eps_hat - eps_null)
 
             abar = schedule.alpha_bar[t_orig]

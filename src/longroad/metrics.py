@@ -10,6 +10,16 @@ motion. Distribution distances (FID/FVD proxies) use a fixed-seed random
 convolutional feature network, frozen forever, in place of pretrained
 backbones; every report labels them "-proxy" because absolute values are not
 comparable with published numbers.
+
+Block matching scores every candidate displacement of FLOW_BATCH frame pairs
+in one pass, yet sums each block's SAD in the order numpy's per-pair
+`abs(diff).sum(axis=(0, 2, 4))` uses: each block row pairwise (numpy's
+8-accumulator scheme), then the row sums one after another over (channel,
+row). A frame one block wide sums a block's bs * bs pixels as one run, and a
+single-block frame its C * bs * bs values. The order is kept because flow
+takes the first minimum and flat regions tie exactly, so the last bit of a
+sum decides matches: summing channels first, or integer SADs, flips some of
+them and changes the reports.
 """
 
 from __future__ import annotations
@@ -47,9 +57,9 @@ class MetricConfig:
 
 @dataclass
 class FlowField:
-    u: np.ndarray          # (H, W) horizontal displacement, pixels
-    v: np.ndarray          # (H, W) vertical displacement, pixels
-    occlusion: np.ndarray  # (H, W) bool, True where round-trip check fails
+    u: np.ndarray          # (H, W) or (N, H, W) horizontal displacement, pixels
+    v: np.ndarray          # same shape, vertical displacement, pixels
+    occlusion: np.ndarray  # same shape, bool, True where round-trip check fails
 
 
 @dataclass(frozen=True)
@@ -67,56 +77,111 @@ def _to_unit(video: np.ndarray) -> np.ndarray:
 
 # -- block-matching flow ---------------------------------------------------------
 
+FLOW_BATCH = 8  # frame pairs per flow call; flow memory does not grow with clip length
 
-def _block_displacements(a: np.ndarray, b: np.ndarray, cfg: MetricConfig):
-    """Best (dy, dx) per block of `a` matched in `b`. Frames are (C, H, W)."""
-    c, h, w = a.shape
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order numpy's pairwise summation adds a
+    contiguous run: below 8 terms one after another; up to 128 terms in 8
+    strided accumulators combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the
+    remaining terms one after another; above 128 terms the two halves (the
+    first a multiple of 8 long), each summed the same way."""
+    n = x.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    if n < 8:
+        acc = x[0]
+        for k in range(1, n):
+            acc = acc + x[k]
+        return acc
+    acc = x[:8]
+    for k in range(8, n - n % 8, 8):
+        acc = acc + x[k:k + 8]
+    acc = acc[0::2] + acc[1::2]
+    acc = (acc[0] + acc[1]) + (acc[2] + acc[3])
+    for k in range(n - n % 8, n):
+        acc += x[k]
+    return acc
+
+
+def _block_sads(a: np.ndarray, b: np.ndarray, cfg: MetricConfig):
+    """(candidate displacements (K, 2), SADs (K, N, nby, nbx)) of every
+    block of every frame of `a` against its frame of `b`; both are
+    (N, C, H, W) float64. Each SAD is a pairwise sum of each run of the
+    block, then the runs one after another, as the module docstring says."""
+    n, c, h, w = a.shape
     bs, r = cfg.block, cfg.search_radius
     if h < bs or w < bs:
         raise ConfigError(f"frame ({h}x{w}) smaller than flow block ({bs})")
-    ph = (-h) % bs
-    pw = (-w) % bs
+    ph, pw = (-h) % bs, (-w) % bs
     if ph or pw:
-        a = np.pad(a, ((0, 0), (0, ph), (0, pw)), mode="edge")
-        b = np.pad(b, ((0, 0), (0, ph), (0, pw)), mode="edge")
-    hh, ww = a.shape[1], a.shape[2]
-    nby, nbx = hh // bs, ww // bs
-    a_blocks = a.reshape(c, nby, bs, nbx, bs)
+        a = np.pad(a, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="edge")
+        b = np.pad(b, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="edge")
+    nby, nbx = a.shape[2] // bs, a.shape[3] // bs
+    bp = np.pad(b, ((0, 0), (0, 0), (r, r), (r, r)), mode="edge")
 
-    bp = np.pad(b, ((0, 0), (r, r), (r, r)), mode="edge")
-    # candidates sorted by displacement magnitude so argmin's first-minimum
-    # rule breaks SAD ties toward zero motion
-    cands = sorted(
-        ((dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1)),
-        key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]),
-    )
-    sads = np.empty((len(cands), nby, nbx))
-    for i, (dy, dx) in enumerate(cands):
-        shifted = bp[:, r + dy:r + dy + hh, r + dx:r + dx + ww]
-        diff = np.abs(a_blocks - shifted.reshape(c, nby, bs, nbx, bs))
-        sads[i] = diff.sum(axis=(0, 2, 4))
+    # x[n, c, by * bs + i, bx * bs + j] at [j, c, i, n, by, bx], i and j
+    # below `span`: the summed axes lead, so every term of a sum is one
+    # contiguous slab over all blocks
+    def by_pixel(x, span):
+        win = np.lib.stride_tricks.sliding_window_view(x, (span, span), axis=(2, 3))
+        return win[:, :, ::bs, ::bs].transpose(5, 1, 4, 0, 2, 3).copy()
+
+    a_px = by_pixel(a, bs)
+    b_px = by_pixel(bp, bs + 2 * r)  # b_px[r + dx + j, :, r + dy + i]: shifted by (dy, dx)
+    blocks = n * nby * nbx
+    run = bs if nbx > 1 else bs * bs if nby > 1 else c * bs * bs
+    # sorted by displacement magnitude so argmin's first-minimum rule breaks
+    # SAD ties toward zero motion
+    cands = np.array(sorted(((dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1)),
+                            key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1])))
+    sads = np.empty((len(cands), blocks))
+    diff = np.empty_like(a_px)
+    for k, (dy, dx) in enumerate(cands.tolist()):
+        np.subtract(a_px, b_px[r + dx:r + dx + bs, :, r + dy:r + dy + bs], out=diff)
+        np.abs(diff, out=diff)
+        if run == bs:
+            terms = diff.reshape(bs, c * bs, blocks)
+        else:  # runs over (channel, row, column)
+            terms = diff.transpose(1, 2, 0, 3, 4, 5).reshape(-1, run, blocks).transpose(1, 0, 2)
+        # numpy reduces axis 0 of a (runs, blocks) array one run after another
+        np.add.reduce(_pairwise_sum(terms), axis=0, out=sads[k])
+    return cands, sads.reshape(len(cands), n, nby, nbx)
+
+
+def _block_displacements(a: np.ndarray, b: np.ndarray, cfg: MetricConfig):
+    """Best (dy, dx) per block of every `a` frame matched in its `b` frame:
+    two (N, nby, nbx) integer arrays. Frames are (N, C, H, W) float64."""
+    cands, sads = _block_sads(a, b, cfg)
     best = np.argmin(sads, axis=0)
-    cand_arr = np.asarray(cands)
-    return cand_arr[best, 0], cand_arr[best, 1], nby, nbx, hh, ww
+    return cands[best, 0], cands[best, 1]
 
 
 def _expand(blockmap: np.ndarray, bs: int, h: int, w: int) -> np.ndarray:
-    return np.repeat(np.repeat(blockmap, bs, axis=0), bs, axis=1)[:h, :w]
+    return np.repeat(np.repeat(blockmap, bs, axis=-2), bs, axis=-1)[..., :h, :w]
 
 
 def estimate_flow(frame_a: np.ndarray, frame_b: np.ndarray,
                   cfg: MetricConfig) -> FlowField:
     """Per-pixel displacement taking content of `frame_a` to `frame_b`, plus
-    an occlusion mask from the forward-backward consistency check."""
+    an occlusion mask from the forward-backward consistency check. Frames
+    are (C, H, W), giving (H, W) fields, or stacks of N pairs (N, C, H, W),
+    giving (N, H, W) fields equal to the N single-pair fields."""
     a = _to_unit(frame_a)
     b = _to_unit(frame_b)
     if a.shape != b.shape:
         raise ShapeError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    h, w = a.shape[1], a.shape[2]
+    if a.ndim not in (3, 4):
+        raise ShapeError(f"need (C, H, W) frames or (N, C, H, W) stacks, got {a.shape}")
+    single = a.ndim == 3
+    if single:
+        a, b = a[None], b[None]
+    n, _, h, w = a.shape
     bs = cfg.block
 
-    dy_f, dx_f, *_ = _block_displacements(a, b, cfg)
-    dy_b, dx_b, *_ = _block_displacements(b, a, cfg)
+    dy_f, dx_f = _block_displacements(a, b, cfg)
+    dy_b, dx_b = _block_displacements(b, a, cfg)
     u = _expand(dx_f, bs, h, w).astype(np.float64)
     v = _expand(dy_f, bs, h, w).astype(np.float64)
     ub = _expand(dx_b, bs, h, w).astype(np.float64)
@@ -126,38 +191,44 @@ def estimate_flow(frame_a: np.ndarray, frame_b: np.ndarray,
     ry = ys + v.astype(np.int64)
     rx = xs + u.astype(np.int64)
     outside = (ry < 0) | (ry >= h) | (rx < 0) | (rx >= w)
+    pair = np.arange(n)[:, None, None]
     ty = np.clip(ry, 0, h - 1)
     tx = np.clip(rx, 0, w - 1)
-    round_u = u + ub[ty, tx]
-    round_v = v + vb[ty, tx]
+    round_u = u + ub[pair, ty, tx]
+    round_v = v + vb[pair, ty, tx]
     occ = outside | (np.sqrt(round_u**2 + round_v**2) > 1.0)
+    if single:
+        return FlowField(u=u[0], v=v[0], occlusion=occ[0])
     return FlowField(u=u, v=v, occlusion=occ)
 
 
-def _warp_backward(frame_b: np.ndarray, flow: FlowField) -> np.ndarray:
-    """Sample frame_b at p + flow(p): the motion-compensated successor."""
-    c, h, w = frame_b.shape
+def _warp_backward(frames_b: np.ndarray, flow: FlowField) -> np.ndarray:
+    """Sample each frame_b at p + flow(p): the motion-compensated successors
+    of an (N, C, H, W) stack under (N, H, W) flow."""
+    n, c, h, w = frames_b.shape
     ys, xs = np.mgrid[0:h, 0:w]
-    ty = np.clip(ys + flow.v.astype(np.int64), 0, h - 1)
-    tx = np.clip(xs + flow.u.astype(np.int64), 0, w - 1)
-    return frame_b[:, ty, tx]
+    ty = np.clip(ys + flow.v.astype(np.int64), 0, h - 1)[:, None]
+    tx = np.clip(xs + flow.u.astype(np.int64), 0, w - 1)[:, None]
+    return frames_b[np.arange(n)[:, None, None, None], np.arange(c)[:, None, None], ty, tx]
 
 
 def _pair_metrics(video: np.ndarray, cfg: MetricConfig):
     """(per-pair warp RMS, per-pair mean flow norm) arrays over consecutive
-    pairs; the warp RMS is NaN where a pair is fully occluded."""
+    pairs; the warp RMS is NaN where a pair is fully occluded. Flow runs on
+    FLOW_BATCH pairs at a time."""
     vid = _to_unit(video)
     if vid.shape[0] < 2:
         raise ContractError(f"need at least 2 frames, got {vid.shape[0]}")
     n = vid.shape[0] - 1
     warps, norms = np.full(n, np.nan), np.empty(n)
-    for i in range(n):
-        flow = estimate_flow(vid[i], vid[i + 1], cfg)
-        norms[i] = np.sqrt(flow.u**2 + flow.v**2).mean()
-        valid = ~flow.occlusion
-        if valid.any():
-            sq = (vid[i] - _warp_backward(vid[i + 1], flow)) ** 2
-            warps[i] = np.sqrt(sq[:, valid].mean())
+    for lo in range(0, n, FLOW_BATCH):
+        hi = min(lo + FLOW_BATCH, n)
+        flow = estimate_flow(vid[lo:hi], vid[lo + 1:hi + 1], cfg)
+        norms[lo:hi] = np.sqrt(flow.u**2 + flow.v**2).mean(axis=(1, 2))
+        sq = (vid[lo:hi] - _warp_backward(vid[lo + 1:hi + 1], flow)) ** 2
+        for k, valid in enumerate(~flow.occlusion):
+            if valid.any():
+                warps[lo + k] = np.sqrt(sq[k][:, valid].mean())
     return warps, norms
 
 

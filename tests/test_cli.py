@@ -297,16 +297,16 @@ class TestEval:
     def test_one_flow_call_per_frame_pair(self, tmp_path, monkeypatch):
         data = datagen(tmp_path, frames=24)
         cfg = write_config(tmp_path)
-        calls = []
+        pairs = []  # frame pairs per flow call: flow takes batches of pairs
         flow = M.estimate_flow
         monkeypatch.setattr(M, "estimate_flow",
-                            lambda *a, **k: calls.append(1) or flow(*a, **k))
+                            lambda a, *r, **k: pairs.append(len(a)) or flow(a, *r, **k))
         assert main(["eval", "--gen", str(data), "--ref", str(data), "--config",
                      str(cfg), "--out", str(tmp_path / "r.json")]) == 0
-        assert len(calls) == 2 * (24 - 1)
+        assert sum(pairs) == 2 * (24 - 1)
         assert main(["eval", "--gen", str(data), "--ref", str(data), "--metrics",
                      "fid_proxy,fvd_proxy", "--out", str(tmp_path / "r.json")]) == 0
-        assert len(calls) == 2 * (24 - 1)  # no flow metric, no flow
+        assert sum(pairs) == 2 * (24 - 1)  # no flow metric, no flow
 
 
 @pytest.mark.parametrize("section, argv", [

@@ -343,6 +343,18 @@ class _ExactNoiseOracle:
                                    Tensor(np.zeros_like(eps)))
 
 
+class _RecordingOracle(_ExactNoiseOracle):
+    """Exact-noise stub that records the condition of every forward."""
+
+    def __init__(self, x0, schedule):
+        super().__init__(x0, schedule)
+        self.conds = []
+
+    def forward(self, xt, t_vec, cond, plan):
+        self.conds.append(cond)
+        return super().forward(xt, t_vec, cond, plan)
+
+
 class TestSampler:
     def setup_method(self):
         self.sched = D.build_schedule(40, 1e-3, 0.05)
@@ -384,6 +396,27 @@ class TestSampler:
         b = D.sample_clip(model, x0[:1], part, self.sched, steps=12, rng=np.random.default_rng(7))
         assert a.tobytes() == b.tobytes()
 
+    def test_guidance_null_branch_keeps_condition_scalars(self):
+        x0 = np.random.default_rng(6).uniform(-1, 1, size=(3, 1, 4, 4))
+        model = _RecordingOracle(x0, self.sched)
+        cond = B.ConditionSet(np.array([1, 2]), np.zeros(3, dtype=np.int64), 10.0, 4.0, 4.0)
+        D.sample_clip(model, x0[:1], D.FramePartition(3, 1), self.sched, steps=4,
+                      rng=np.random.default_rng(8), cond=cond, guidance_scale=1.5)
+        assert [c.null_flag for c in model.conds] == [False, True] * 4
+        for c in model.conds[1::2]:
+            assert (c.fps, c.height, c.width) == (cond.fps, cond.height, cond.width)
+
+    def test_guidance_without_condition_is_one_forward_per_step(self):
+        x0 = np.random.default_rng(6).uniform(-1, 1, size=(3, 1, 4, 4))
+        runs = {}
+        for guidance in (1.0, 1.5):
+            model = _RecordingOracle(x0, self.sched)
+            runs[guidance] = D.sample_clip(model, x0[:1], D.FramePartition(3, 1), self.sched,
+                                           steps=4, rng=np.random.default_rng(8),
+                                           guidance_scale=guidance)
+            assert model.conds == [None] * 4
+        assert runs[1.5].tobytes() == runs[1.0].tobytes()
+
     def test_zero_steps_rejected(self):
         x0 = np.zeros((2, 1, 2, 2))
         model = _ExactNoiseOracle(x0, self.sched)
@@ -417,8 +450,8 @@ def oracle_sample(model, memory, l_total, schedule, steps, rng, cond, plan, guid
             pred = model.forward(clip, t_vec, cond, plan)
             eps_hat = pred.eps_hat.data[m:]
             v_hat = pred.v_hat.data[m:]
-            if guidance_scale != 1.0:
-                eps_null = model.forward(clip, t_vec, None, plan).eps_hat.data[m:]
+            if guidance_scale != 1.0 and cond is not None:
+                eps_null = model.forward(clip, t_vec, cond.nulled(), plan).eps_hat.data[m:]
                 eps_hat = eps_null + guidance_scale * (eps_hat - eps_null)
             abar = schedule.alpha_bar[t_orig]
             x0_hat = (fut - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longroad import metrics as M
 from longroad import toyroad as R
@@ -52,6 +54,107 @@ class TestFlow:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             M.estimate_flow(np.zeros((3, 32, 48)), np.zeros((3, 32, 40)), CFG)
+
+
+def oracle_sads(a, b, cfg):
+    """The per-pair block matching the batched pass replaced, as reference:
+    (sorted candidates, (K, nby, nbx) SADs) of one (C, H, W) float pair,
+    each SAD summed by numpy over the block's (C, bs, bs) differences."""
+    c, h, w = a.shape
+    bs, r = cfg.block, cfg.search_radius
+    ph = (-h) % bs
+    pw = (-w) % bs
+    if ph or pw:
+        a = np.pad(a, ((0, 0), (0, ph), (0, pw)), mode="edge")
+        b = np.pad(b, ((0, 0), (0, ph), (0, pw)), mode="edge")
+    hh, ww = a.shape[1], a.shape[2]
+    nby, nbx = hh // bs, ww // bs
+    a_blocks = a.reshape(c, nby, bs, nbx, bs)
+    bp = np.pad(b, ((0, 0), (r, r), (r, r)), mode="edge")
+    cands = sorted(
+        ((dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1)),
+        key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]),
+    )
+    sads = np.empty((len(cands), nby, nbx))
+    for i, (dy, dx) in enumerate(cands):
+        shifted = bp[:, r + dy:r + dy + hh, r + dx:r + dx + ww]
+        diff = np.abs(a_blocks - shifted.reshape(c, nby, bs, nbx, bs))
+        sads[i] = diff.sum(axis=(0, 2, 4))
+    return np.asarray(cands), sads
+
+
+def oracle_block_displacements(a, b, cfg):
+    """Best (dy, dx) per block of one (C, H, W) pair, first minimum wins."""
+    cands, sads = oracle_sads(a, b, cfg)
+    best = np.argmin(sads, axis=0)
+    return cands[best, 0], cands[best, 1]
+
+
+@st.composite
+def frame_stacks(draw):
+    """Two (N, C, H, W) stacks and a flow config: sizes not divisible by the
+    block, one-block-wide and single-block frames, few grey levels (exact
+    SAD ties) or continuous values, uint8 or float64."""
+    bs = draw(st.integers(1, 20))
+    cfg = M.MetricConfig(search_radius=draw(st.integers(0, 4)), block=bs)
+    blocks_y, blocks_x = draw(st.sampled_from([(1, 1), (3, 1), (1, 3), (3, 3)]))
+    h = draw(st.integers(bs, bs * blocks_y + bs - 1))
+    w = draw(st.integers(bs, bs * blocks_x + bs - 1))
+    shape = (draw(st.integers(1, 3)), draw(st.sampled_from([1, 3])), h, w)
+    levels = draw(st.sampled_from([2, 3, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(["uint8", "float64"])) == "uint8":
+        step = 255 // (levels - 1)
+        a = (step * rng.integers(0, levels, shape)).astype(np.uint8)
+        b = (step * rng.integers(0, levels, shape)).astype(np.uint8)
+    elif levels == 256:
+        a, b = rng.random(shape), rng.random(shape)
+    else:
+        a, b = rng.integers(0, levels, shape) / levels, rng.integers(0, levels, shape) / levels
+    return a, b, cfg
+
+
+class TestBatchedFlow:
+    @settings(max_examples=80, deadline=None)
+    @given(frame_stacks())
+    def test_block_matching_equals_per_pair_oracle(self, case):
+        a, b, cfg = case
+        a, b = M._to_unit(a), M._to_unit(b)
+        cands, sads = M._block_sads(a, b, cfg)
+        dy, dx = M._block_displacements(a, b, cfg)
+        for i in range(len(a)):
+            want_cands, want_sads = oracle_sads(a[i], b[i], cfg)
+            np.testing.assert_array_equal(cands, want_cands)
+            assert sads[:, i].tobytes() == want_sads.tobytes()  # same summation order
+            want_dy, want_dx = oracle_block_displacements(a[i], b[i], cfg)
+            np.testing.assert_array_equal(dy[i], want_dy)
+            np.testing.assert_array_equal(dx[i], want_dx)
+
+    @settings(max_examples=30, deadline=None)
+    @given(frame_stacks())
+    def test_stacked_flow_equals_single_pair_calls(self, case):
+        a, b, cfg = case
+        flow = M.estimate_flow(a, b, cfg)
+        for i in range(len(a)):
+            one = M.estimate_flow(a[i], b[i], cfg)
+            assert one.u.shape == a.shape[2:]
+            for got, want in ((flow.u, one.u), (flow.v, one.v),
+                              (flow.occlusion, one.occlusion)):
+                assert got[i].dtype == want.dtype and got[i].tobytes() == want.tobytes()
+
+    def test_rendered_clip_matches_oracle(self):
+        # flat road and sky regions give many exact SAD ties; the last bit of
+        # each sum decides them
+        clip = M._to_unit(R.render_clip(R.scene_for_clip(1, 0, 10), 32, 48, 10, 10).frames)
+        dy, dx = M._block_displacements(clip[:-1], clip[1:], CFG)
+        for i in range(len(clip) - 1):
+            want_dy, want_dx = oracle_block_displacements(clip[i], clip[i + 1], CFG)
+            np.testing.assert_array_equal(dy[i], want_dy)
+            np.testing.assert_array_equal(dx[i], want_dx)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ShapeError):
+            M.estimate_flow(np.zeros((32, 48)), np.zeros((32, 48)), CFG)
 
 
 class TestWarpError:

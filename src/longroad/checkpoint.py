@@ -12,6 +12,7 @@ import struct
 import numpy as np
 
 from .errors import DataError, FormatError
+from .fileio import atomic_write
 from .tensor import Tensor
 
 MAGIC = b"IDCK"
@@ -21,7 +22,8 @@ _CODE_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
 def save_tensors(path, tensors: dict[str, Tensor | np.ndarray]) -> None:
-    with open(path, "wb") as f:
+    """Write the tensors to `path`; a failed write leaves any old file intact."""
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<HI", VERSION, len(tensors)))
         for name, t in tensors.items():

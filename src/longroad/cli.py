@@ -17,6 +17,7 @@ if "WM_THREADS" in os.environ:  # cap BLAS parallelism; must precede numpy load
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from . import toyroad as R
 from . import training as TR
 from .backbone import ConditionSet, VideoDenoiser
 from .diffusion import build_schedule
+from .fileio import atomic_write
 from .errors import (ConfigError, ContractError, DataError, FormatError,
                      LongroadError, MetricUndefinedError, NumericDomainError,
                      NumericFailure)
@@ -156,12 +158,8 @@ def cmd_rollout(args) -> int:
 
     rng = rng_for(args.seed, "sampler")
     if args.cond == "none":
-        h, w = cfg["data"]["height"], cfg["data"]["width"]
-        cond = condition(h, w)
-        state = RO.bootstrap(model, schedule, cond, settings, m_memory,
-                             (cfg["model"]["channels"], h, w), fps, rng)
-        frames = RO.run(state, model, schedule, cond, settings,
-                        args.iters - 1, rng)
+        head = None
+        frame_shape = (cfg["model"]["channels"], cfg["data"]["height"], cfg["data"]["width"])
     else:
         record = R.read_clip(args.cond)
         if record.frames.shape[0] != m_memory:
@@ -169,32 +167,89 @@ def cmd_rollout(args) -> int:
                 f"condition clip has {record.frames.shape[0]} frames, "
                 f"rollout memory expects exactly {m_memory}"
             )
-        cond = condition(record.frames.shape[2], record.frames.shape[3])
-        state = RO.init(R.to_model_space(record.frames), fps)
-        frames = RO.run(state, model, schedule, cond, settings, args.iters, rng)
+        head = R.to_model_space(record.frames)
+        frame_shape = head.shape[1:]
+    cond = condition(frame_shape[1], frame_shape[2])
+
+    def sampled():
+        """Each sampled chunk's new frames; a text-only start's first chunk
+        is the bootstrap clip."""
+        if head is None:
+            state = RO.bootstrap(model, schedule, cond, settings, m_memory,
+                                 frame_shape, fps, rng)
+            yield state.frames
+            yield from RO.chunks(state, model, schedule, cond, settings,
+                                 args.iters - 1, rng)
+        else:
+            yield from RO.chunks(RO.init(head, fps), model, schedule, cond, settings,
+                                 args.iters, rng)
+
+    def pixel_chunks(log):
+        """The condition frames, then each sampled chunk, as pixels; one log
+        line per sampled chunk. Between chunks only the rollout memory is held."""
+        ref = last = None
+        written = 0
+        if head is not None:
+            ref = R.to_pixel_space(head)
+            yield ref
+            written, last = len(ref), ref[-1]
+        start = time.perf_counter()
+        for index, frames in enumerate(sampled()):
+            seconds = time.perf_counter() - start
+            pixels = R.to_pixel_space(frames)
+            yield pixels
+            written += len(pixels)
+            if ref is None:  # a text-only start: the bootstrap's first M frames
+                ref = pixels[:m_memory]
+            log.write(json.dumps(_chunk_record(index, written, seconds, settings.steps,
+                                               ref, last, pixels, frames)) + "\n")
+            log.flush()
+            last = pixels[-1]
+            start = time.perf_counter()
 
     caption = args.caption or "unconditional rollout"
-    out_record = R.ClipRecord(frames=R.to_pixel_space(frames), fps=fps,
-                              caption=caption,
-                              commands=np.full(frames.shape[0], cmd_code, np.uint8))
-    R.write_clip(out_record, args.out)
+    with open(str(args.out) + ".chunks.jsonl", "w") as log:
+        R.write_clip_chunks(args.out, frame_shape, fps, caption,
+                            np.full(total, cmd_code, np.uint8), pixel_chunks(log))
     sidecar = {
         "config_hash": cfgmod.config_hash(cfg), "seed": args.seed,
         "iters": args.iters, "checkpoint": str(args.ckpt),
-        "frames": int(frames.shape[0]),
-        "duration_seconds": frames.shape[0] / fps,
+        "frames": total,
+        "duration_seconds": total / fps,
     }
     Path(str(args.out) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-    print(f"wrote {frames.shape[0]} frames to {args.out}")
+    print(f"wrote {total} frames to {args.out}")
     return 0
 
 
-def _load_clip_dir(path) -> dict[str, np.ndarray]:
+def _chunk_record(index, written, seconds, steps, ref, last, pixels, frames) -> dict:
+    """One line of `<out>.chunks.jsonl`. Pixel statistics are in 0-255 units:
+    `seam` is the mean |first new frame - last memory frame| (None for a
+    text-only start's first chunk), `within` the mean |difference| of
+    consecutive frames inside the chunk, and the drifts compare the chunk's
+    pixel mean and std with the reference frames (the condition clip, or the
+    bootstrap chunk's first M frames)."""
+    px = pixels.astype(np.float64)
+    seam = None if last is None else float(np.abs(px[0] - last).mean())
+    within = float(np.abs(np.diff(px, axis=0)).mean()) if len(px) > 1 else None
+    ref = ref.astype(np.float64)
+    return {
+        "chunk": index, "frames_written": written,
+        "wall_s": round(seconds, 6), "ms_per_step": round(1e3 * seconds / steps, 3),
+        "seam": seam, "within": within,
+        "seam_ratio": seam / within if seam is not None and within else None,
+        "mean_drift": float(px.mean() - ref.mean()),
+        "std_drift": float(px.std() - ref.std()),
+        "finite": bool(np.isfinite(frames).all()),
+    }
+
+
+def _clip_paths(path) -> list[Path]:
     root = Path(path)
     files = sorted(root.glob("*.toyr"))
     if not files:
         raise DataError(f"no .toyr clips under {root}")
-    return {f.name: R.read_clip(f).frames for f in files}
+    return files
 
 
 def cmd_eval(args) -> int:
@@ -206,12 +261,13 @@ def cmd_eval(args) -> int:
             f"unknown metric name(s) {bad}; valid: {', '.join(METRIC_NAMES)}"
         )
     mcfg = cfgmod.metric_config(cfg, args.window)
-    gen = _load_clip_dir(args.gen)
-    ref = _load_clip_dir(args.ref)
+    gen = _clip_paths(args.gen)
+    ref = _clip_paths(args.ref)
 
+    # one clip in memory at a time; only its features are kept
     ref_frame_feats, ref_stack_feats = [], []
-    for vid in ref.values():
-        f, s = M.video_features(vid, mcfg.feature_seed)
+    for path in ref:
+        f, s = M.video_features(R.read_clip(path).frames, mcfg.feature_seed)
         ref_frame_feats.append(f)
         if s.shape[0]:
             ref_stack_feats.append(s)
@@ -221,12 +277,17 @@ def cmd_eval(args) -> int:
 
     per_clip: dict[str, dict] = {}
     gen_frame_feats, gen_stack_feats = [], []
-    for name, vid in gen.items():
+    channels = None  # of the first clip, for the extractor checksum
+    for path in gen:
+        vid = R.read_clip(path).frames
+        if channels is None:
+            channels = int(vid.shape[1])
         values, f, s = M.clip_metrics(vid, mcfg, requested, ref_frames, ref_stacks)
-        per_clip[name] = {"frames": int(vid.shape[0]), **values}
+        per_clip[path.name] = {"frames": int(vid.shape[0]), **values}
         gen_frame_feats.append(f)
         if s.shape[0]:
             gen_stack_feats.append(s)
+        del vid
 
     aggregate: dict = {}
     for key in M.SCALAR_METRICS:  # undefined (null) values are skipped
@@ -242,13 +303,13 @@ def cmd_eval(args) -> int:
 
     report = {
         "config_hash": cfgmod.config_hash(cfg),
-        "extractor_checksum": M.extractor_checksum(
-            int(next(iter(gen.values())).shape[1]), mcfg.feature_seed),
+        "extractor_checksum": M.extractor_checksum(channels, mcfg.feature_seed),
         "window": mcfg.window,
         "per_clip": per_clip,
         "aggregate": aggregate,
     }
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True))
+    with atomic_write(args.out) as f:
+        f.write(json.dumps(report, indent=2, sort_keys=True).encode())
     if args.csv:
         lines = ["clip,frame,metric,value"]
         for name, entry in per_clip.items():
@@ -256,7 +317,8 @@ def cmd_eval(args) -> int:
                 for key, val in point.items():
                     if key != "frame" and val is not None:
                         lines.append(f"{name},{point['frame']},{key},{val}")
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        with atomic_write(args.csv) as f:
+            f.write(("\n".join(lines) + "\n").encode())
     print(f"wrote report to {args.out}")
     return 0
 

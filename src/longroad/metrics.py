@@ -24,6 +24,7 @@ them and changes the reports.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -216,16 +217,17 @@ def _pair_metrics(video: np.ndarray, cfg: MetricConfig):
     """(per-pair warp RMS, per-pair mean flow norm) arrays over consecutive
     pairs; the warp RMS is NaN where a pair is fully occluded. Flow runs on
     FLOW_BATCH pairs at a time."""
-    vid = _to_unit(video)
-    if vid.shape[0] < 2:
-        raise ContractError(f"need at least 2 frames, got {vid.shape[0]}")
-    n = vid.shape[0] - 1
+    video = np.asarray(video)
+    if video.shape[0] < 2:
+        raise ContractError(f"need at least 2 frames, got {video.shape[0]}")
+    n = video.shape[0] - 1
     warps, norms = np.full(n, np.nan), np.empty(n)
     for lo in range(0, n, FLOW_BATCH):
         hi = min(lo + FLOW_BATCH, n)
-        flow = estimate_flow(vid[lo:hi], vid[lo + 1:hi + 1], cfg)
+        vid = _to_unit(video[lo:hi + 1])
+        flow = estimate_flow(vid[:-1], vid[1:], cfg)
         norms[lo:hi] = np.sqrt(flow.u**2 + flow.v**2).mean(axis=(1, 2))
-        sq = (vid[lo:hi] - _warp_backward(vid[lo + 1:hi + 1], flow)) ** 2
+        sq = (vid[:-1] - _warp_backward(vid[1:], flow)) ** 2
         for k, valid in enumerate(~flow.occlusion):
             if valid.any():
                 warps[lo + k] = np.sqrt(sq[k][:, valid].mean())
@@ -268,6 +270,9 @@ def mawe(video: np.ndarray, cfg: MetricConfig) -> float:
 
 # -- frozen feature network ----------------------------------------------------------
 
+FEATURE_BATCH = 16  # frames of input per frame-net call, at least
+STACK_BATCH = 2  # stacks per stack-net call, at least: one stack alone runs at half speed
+
 
 def _conv_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3x3 stride-2 convolution with zero padding of 1, float64."""
@@ -307,6 +312,15 @@ class VideoFeatureNet:
             c_in = c_out
         self._anchors: dict[tuple[int, int], np.ndarray] = {}
 
+    def _aligned_rows(self, rows: int, hw: tuple[int, int]) -> int:
+        """`rows` rounded up so every layer's GEMM over a batch spans a
+        multiple of 8 output columns (rows * output pixels per row)."""
+        h, w = hw
+        for _ in self.weights:
+            h, w = (h + 1) // 2, (w + 1) // 2
+            rows = math.lcm(rows, 8 // math.gcd(8, h * w))
+        return rows
+
     @staticmethod
     def _gradients(x: np.ndarray) -> np.ndarray:
         gy = np.diff(x, axis=2, append=x[:, :, -1:, :])
@@ -324,13 +338,31 @@ class VideoFeatureNet:
             stats.append(x.std(axis=(2, 3)))
         return np.concatenate(stats, axis=1)
 
-    def __call__(self, batch: np.ndarray) -> np.ndarray:
-        x = _to_unit(batch)
-        hw = (x.shape[2], x.shape[3])
+    def __call__(self, batch: np.ndarray, rows: int) -> np.ndarray:
+        """Unit-norm features of an (N, channels, H, W) uint8 or float batch.
+
+        The net runs on `rows` inputs at a time, so memory does not grow
+        with N. `rows` is rounded up so every layer's GEMM spans whole
+        8-column panels, and the last call also takes the remainder: BLAS
+        picks its kernels by GEMM width, and these two rules keep the stats
+        bit-equal to one call on the whole batch at the sizes
+        tests/test_metrics.py checks, 32x48 among them (elsewhere within one
+        rounding). The stacked stats are made Fortran-ordered, the layout one
+        `_stats` call gives for N >= 2, because the norm below and the
+        callers' reductions sum in an order that follows the layout."""
+        batch = np.asarray(batch)
+        hw = (batch.shape[2], batch.shape[3])
         if hw not in self._anchors:
             zero = np.zeros((1, 2 * self.channels) + hw)
             self._anchors[hw] = self._stats(zero)[0]
-        feats = self._stats(self._gradients(x)) - self._anchors[hw][None, :]
+        if batch.shape[0] == 0:
+            return np.empty((0, self._anchors[hw].shape[0] + 1))
+        n, rows = batch.shape[0], self._aligned_rows(rows, hw)
+        starts = list(range(0, max(n - rows, 0) + 1, rows))  # the last takes the remainder
+        stats = np.asfortranarray(np.concatenate([
+            self._stats(self._gradients(_to_unit(batch[lo:hi])))
+            for lo, hi in zip(starts, starts[1:] + [n])]))
+        feats = stats - self._anchors[hw][None, :]
         hom = np.full((feats.shape[0], 1), self.HOMOGENEOUS)
         feats = np.concatenate([feats, hom], axis=1)
         norms = np.linalg.norm(feats, axis=1, keepdims=True)
@@ -360,18 +392,22 @@ def extractor_checksum(channels: int, seed: int) -> str:
     return f"{frame_net.checksum()}-{stack_net.checksum()}"
 
 
-def _stack_features(vid: np.ndarray, extractor_seed: int) -> np.ndarray:
+def _stack_features(video: np.ndarray, extractor_seed: int) -> np.ndarray:
     """(K, D) features of the consecutive, non-overlapping 16-frame stacks of
-    a unit-range video; K is 0 below 16 frames."""
-    k, c = vid.shape[0] // STACK_LEN, vid.shape[1]
-    stacked = vid[:k * STACK_LEN].reshape(k, STACK_LEN * c, vid.shape[2], vid.shape[3])
-    return _net(STACK_LEN * c, extractor_seed)(stacked)
+    a video, one stack per net call; K is 0 below 16 frames."""
+    video = np.asarray(video)
+    k, c = video.shape[0] // STACK_LEN, video.shape[1]
+    stacked = video[:k * STACK_LEN].reshape(k, STACK_LEN * c, video.shape[2], video.shape[3])
+    return _net(STACK_LEN * c, extractor_seed)(stacked, rows=STACK_BATCH)
 
 
 def video_features(video: np.ndarray, extractor_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(per-frame features (L, D), per-16-frame-stack features (K, D))."""
-    vid = _to_unit(video)
-    return _net(vid.shape[1], extractor_seed)(vid), _stack_features(vid, extractor_seed)
+    """(per-frame features (L, D), per-16-frame-stack features (K, D)) of a
+    uint8 or unit-range video; memory does not grow with L beyond the
+    features themselves."""
+    video = np.asarray(video)
+    return (_net(video.shape[1], extractor_seed)(video, FEATURE_BATCH),
+            _stack_features(video, extractor_seed))
 
 
 def background_consistency_from_features(feats: np.ndarray) -> float:
@@ -456,12 +492,11 @@ def clip_metrics(video: np.ndarray, cfg: MetricConfig, requested,
     }
     values = {name: _defined(scalars[name]) for name in SCALAR_METRICS if name in requested}
     if curves:
-        vid = _to_unit(video)
         values["curves"] = []
         for mark in range(cfg.window, len(video) + 1, cfg.window):
             lo = mark - cfg.window
             feats = frame_feats[lo:mark]
-            stacks = _stack_features(vid[lo:mark], cfg.feature_seed)
+            stacks = _stack_features(video[lo:mark], cfg.feature_seed)
             values["curves"].append({
                 "frame": mark,
                 "fid_proxy": frechet_distance(feature_stats(feats), ref_frames),

@@ -10,6 +10,7 @@ future, then rolls out normally.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,14 @@ def bootstrap(model, schedule: NoiseSchedule, cond: ConditionSet | None,
     return RolloutState(frames=chunk, m_memory=m_memory, fps=fps, iteration=1)
 
 
-def step(state: RolloutState, model, schedule: NoiseSchedule,
-         cond: ConditionSet | None, settings: SamplerSettings,
-         rng: np.random.Generator) -> RolloutState:
-    """Sample one chunk conditioned on the buffer tail; append the new frames."""
+def chunks(state: RolloutState, model, schedule: NoiseSchedule,
+           cond: ConditionSet | None, settings: SamplerSettings, k_iterations: int,
+           rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Yield the L - M new frames of each of k further iterations. Between
+    chunks only the last M frames are held, so memory does not grow with k;
+    the yielded arrays are the caller's to keep."""
+    if k_iterations < 0:
+        raise ContractError(f"iteration count must be >= 0, got {k_iterations}")
     l, m = settings.l_window, state.m_memory
     if l <= m:
         raise ContractError(f"model window L={l} must exceed memory M={m}")
@@ -77,12 +82,24 @@ def step(state: RolloutState, model, schedule: NoiseSchedule,
     partition = FramePartition(l, m)
     plan = RopePlan(np.arange(l))
     memory = np.ascontiguousarray(state.frames[-m:])
-    clip = sample_clip(model, memory, partition, schedule, settings.steps, rng,
-                       cond=cond, plan=plan, guidance_scale=settings.guidance_scale)
-    if clip[:m].tobytes() != memory.tobytes():
-        raise ContractError("sampler violated the memory pinning contract")
-    frames = np.concatenate([state.frames, clip[m:]], axis=0)
-    return RolloutState(frames=frames, m_memory=m, fps=state.fps,
+    for _ in range(k_iterations):
+        clip = sample_clip(model, memory, partition, schedule, settings.steps, rng,
+                           cond=cond, plan=plan, guidance_scale=settings.guidance_scale)
+        if clip[:m].tobytes() != memory.tobytes():
+            raise ContractError("sampler violated the memory pinning contract")
+        # the buffer's tail is the clip's tail: its first M rows equal the old memory
+        memory = clip[l - m:].copy()
+        yield clip[m:]
+
+
+def step(state: RolloutState, model, schedule: NoiseSchedule,
+         cond: ConditionSet | None, settings: SamplerSettings,
+         rng: np.random.Generator) -> RolloutState:
+    """Sample one chunk conditioned on the buffer tail; return a new state
+    whose buffer is a fresh array with the new frames appended."""
+    (new,) = chunks(state, model, schedule, cond, settings, 1, rng)
+    return RolloutState(frames=np.concatenate([state.frames, new], axis=0),
+                        m_memory=state.m_memory, fps=state.fps,
                         iteration=state.iteration + 1)
 
 
@@ -90,8 +107,5 @@ def run(state: RolloutState, model, schedule: NoiseSchedule,
         cond: ConditionSet | None, settings: SamplerSettings, k_iterations: int,
         rng: np.random.Generator) -> np.ndarray:
     """k further iterations; returns the full generated buffer."""
-    if k_iterations < 0:
-        raise ContractError(f"iteration count must be >= 0, got {k_iterations}")
-    for _ in range(k_iterations):
-        state = step(state, model, schedule, cond, settings, rng)
-    return state.frames
+    return np.concatenate([state.frames, *chunks(state, model, schedule, cond, settings,
+                                                 k_iterations, rng)], axis=0)

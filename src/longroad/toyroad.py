@@ -16,6 +16,7 @@ u16 L, u8 C, u8 fps, u32 caption length + UTF-8 caption, L command bytes
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError
+from .fileio import atomic_write
 from .seeding import rng_for
 
 MAGIC = b"TOYR"
@@ -232,61 +234,85 @@ def write_clip(record: ClipRecord, path) -> None:
     frames = np.asarray(record.frames)
     if frames.ndim != 4 or frames.shape[0] < 1:
         raise ContractError(f"need a (L, C, H, W) clip with L >= 1, got {frames.shape}")
-    if frames.dtype != np.uint8:
-        raise ContractError(f"clip pixels must be uint8, got {frames.dtype}")
-    l, c, h, w = frames.shape
-    commands = np.asarray(record.commands, dtype=np.uint8)
-    if commands.shape != (l,):
+    write_clip_chunks(path, frames.shape[1:], record.fps, record.caption,
+                      record.commands, [frames])
+
+
+def write_clip_chunks(path, frame_shape, fps: int, caption: str, commands,
+                      chunks) -> None:
+    """Write a clip whose uint8 pixels arrive as (n, C, H, W) chunks, so the
+    whole clip never has to sit in memory. The header takes its frame count
+    from `commands` (one byte per frame), and the chunks must add up to it.
+    The file appears at `path` only once complete."""
+    c, h, w = frame_shape
+    commands = np.asarray(commands, dtype=np.uint8)
+    l = commands.shape[0] if commands.ndim == 1 else 0
+    if l < 1:
         raise ContractError(f"need one command byte per frame, got {commands.shape}")
-    caption = record.caption.encode("utf-8")
+    caption = caption.encode("utf-8")
     if not caption:
         raise ContractError("caption must be nonempty")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
-        f.write(struct.pack("<HHHHBB", VERSION, h, w, l, c, record.fps))
+        f.write(struct.pack("<HHHHBB", VERSION, h, w, l, c, fps))
         f.write(struct.pack("<I", len(caption)))
         f.write(caption)
         f.write(commands.tobytes())
-        f.write(np.ascontiguousarray(frames).tobytes())
+        written = 0
+        for chunk in chunks:
+            chunk = np.ascontiguousarray(chunk)
+            if chunk.dtype != np.uint8:
+                raise ContractError(f"clip pixels must be uint8, got {chunk.dtype}")
+            if chunk.ndim != 4 or chunk.shape[1:] != (c, h, w):
+                raise ContractError(f"need (n, {c}, {h}, {w}) frames, got {chunk.shape}")
+            written += chunk.shape[0]
+            if written > l:
+                break
+            f.write(chunk.data)
+        if written != l:
+            raise ContractError(f"need one command byte per frame: {l} commands, "
+                                f"{written} frames")
 
 
 def read_clip(path) -> ClipRecord:
     try:
-        with open(path, "rb") as f:
-            blob = f.read()
+        f = open(path, "rb")
     except OSError as e:
         raise DataError(f"cannot read clip {path}: {e.strerror or e}") from e
-    if blob[:4] != MAGIC:
-        raise FormatError(f"bad clip magic {blob[:4]!r}, expected {MAGIC!r}", offset=0)
-    pos = 4
-    try:
-        version, h, w, l, c, fps = struct.unpack_from("<HHHHBB", blob, pos)
-    except struct.error:
-        raise FormatError("truncated clip header", offset=pos)
-    pos += 10
-    if version != VERSION:
-        raise FormatError(f"unsupported clip version {version}", offset=4)
-    try:
-        (cap_len,) = struct.unpack_from("<I", blob, pos)
-    except struct.error:
-        raise FormatError("truncated caption length", offset=pos)
-    pos += 4
-    if pos + cap_len > len(blob):
-        raise FormatError("truncated caption", offset=pos)
-    try:
-        caption = blob[pos:pos + cap_len].decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError("caption is not valid UTF-8", offset=pos + e.start)
-    pos += cap_len
-    if pos + l > len(blob):
-        raise FormatError("truncated command track", offset=pos)
-    commands = np.frombuffer(blob[pos:pos + l], dtype=np.uint8).copy()
-    pos += l
-    need = l * c * h * w
-    if pos + need > len(blob):
-        raise FormatError(f"truncated pixel payload, need {need} bytes", offset=pos)
-    frames = np.frombuffer(blob[pos:pos + need], dtype=np.uint8).reshape(l, c, h, w).copy()
-    return ClipRecord(frames=frames, fps=fps, caption=caption, commands=commands)
+    with f:
+        magic = f.read(4)
+        if magic != MAGIC:
+            raise FormatError(f"bad clip magic {magic!r}, expected {MAGIC!r}", offset=0)
+        pos = 4
+        try:
+            version, h, w, l, c, fps = struct.unpack("<HHHHBB", f.read(10))
+        except struct.error:
+            raise FormatError("truncated clip header", offset=pos)
+        pos += 10
+        if version != VERSION:
+            raise FormatError(f"unsupported clip version {version}", offset=4)
+        try:
+            (cap_len,) = struct.unpack("<I", f.read(4))
+        except struct.error:
+            raise FormatError("truncated caption length", offset=pos)
+        pos += 4
+        raw = f.read(cap_len)
+        if len(raw) < cap_len:
+            raise FormatError("truncated caption", offset=pos)
+        try:
+            caption = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError("caption is not valid UTF-8", offset=pos + e.start)
+        pos += cap_len
+        commands = np.frombuffer(f.read(l), dtype=np.uint8)
+        if commands.shape[0] < l:
+            raise FormatError("truncated command track", offset=pos)
+        pos += l
+        need = l * c * h * w
+        if os.fstat(f.fileno()).st_size - pos < need:
+            raise FormatError(f"truncated pixel payload, need {need} bytes", offset=pos)
+        frames = np.fromfile(f, dtype=np.uint8, count=need).reshape(l, c, h, w)
+    return ClipRecord(frames=frames, fps=fps, caption=caption, commands=commands.copy())
 
 
 # -- dataset -----------------------------------------------------------------------------
@@ -324,6 +350,27 @@ def to_pixel_space(frames: np.ndarray) -> np.ndarray:
     return np.clip(np.round((frames + 1.0) * 127.5), 0, 255).astype(np.uint8)
 
 
+# manifest keys a dataset reads; all are integers
+_MANIFEST_KEYS = ("clips", "frames", "height", "width", "fps", "seed")
+
+
+def _read_manifest(path: Path) -> dict:
+    try:
+        manifest = json.loads(path.read_bytes())
+    except (OSError, ValueError) as e:
+        raise DataError(f"cannot read manifest {path}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {path} must be a JSON object")
+    for key in _MANIFEST_KEYS:
+        if key not in manifest:
+            raise DataError(f"manifest {path} lacks key {key!r}")
+        value, lowest = manifest[key], 0 if key == "seed" else 1
+        if not isinstance(value, int) or isinstance(value, bool) or value < lowest:
+            raise DataError(f"manifest {path}: {key!r} must be an integer >= {lowest}, "
+                            f"got {value!r}")
+    return manifest
+
+
 class ClipDataset:
     """A directory of .toyr clips plus its manifest; can re-render any clip at
     a scaled resolution straight from the underlying scene."""
@@ -333,7 +380,7 @@ class ClipDataset:
         manifest_path = self.root / "manifest.json"
         if not manifest_path.exists():
             raise DataError(f"no manifest.json under {self.root}")
-        self.manifest = json.loads(manifest_path.read_text())
+        self.manifest = _read_manifest(manifest_path)
         self.paths = sorted(self.root.glob("*.toyr"))
         if len(self.paths) != self.manifest["clips"]:
             raise DataError(

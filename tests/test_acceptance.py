@@ -324,6 +324,7 @@ def smoke_artifacts(tmp_path_factory):
                 train_minutes=train_minutes)
 
 
+@pytest.mark.slow
 def test_criterion_08_smoke_training(smoke_artifacts):
     art = smoke_artifacts
     losses = [r["loss"] for r in art["result"].history]

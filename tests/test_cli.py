@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from longroad import metrics as M
+from longroad import rollout as RO
 from longroad import toyroad as R
+from longroad.backbone import VideoDenoiser
+from longroad.checkpoint import load_into
 from longroad.cli import build_parser, main
+from longroad.config import load_config, model_config
+from longroad.diffusion import build_schedule
+from longroad.seeding import rng_for
 
 TINY_CONFIG = {
     "model": {"depth": 1, "hidden": 8, "heads": 2, "patch": 2, "channels": 3,
@@ -113,6 +119,21 @@ class TestTrain:
                    "--out", str(tmp_path / "run")])
         assert rc == 1
 
+    @pytest.mark.parametrize("manifest, key", [(b"{not json", "manifest"),
+                                               (b'{"clips": 2}', "'frames'"),
+                                               (b'{"clips": 2, "frames": 16, "height": 16, '
+                                                b'"width": 24, "seed": 3}', "'fps'"),
+                                               (b'{"clips": 2, "frames": 16, "height": 16, '
+                                                b'"width": 24, "fps": "10", "seed": 3}', "'fps'")])
+    def test_bad_manifest_exit_two(self, tmp_path, capsys, manifest, key):
+        data = datagen(tmp_path)
+        (data / "manifest.json").write_bytes(manifest)
+        rc = main(["train", "--config", str(write_config(tmp_path)), "--data", str(data),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(data / "manifest.json") in err and key in err
+
 
 @pytest.fixture()
 def trained(tmp_path):
@@ -188,6 +209,56 @@ class TestRollout:
                    "--out", str(out)])
         assert rc == 0
         assert R.read_clip(out).frames.shape[0] == 4 + 2 * 4
+
+    @pytest.mark.parametrize("cond_frames", [0, 4])  # 0: --cond none
+    def test_streamed_clip_equals_run_then_write(self, trained, cond_frames):
+        cfg = load_config(trained["cfg"])
+        model = VideoDenoiser(model_config(cfg), rng_for(cfg["train"]["seed"], "init"))
+        load_into(trained["ckpt"], model.named_parameters())
+        schedule = build_schedule(50, 1e-3, 0.05)
+        settings = RO.SamplerSettings(l_window=8, steps=2)
+        rng = rng_for(1, "sampler")
+        if cond_frames:
+            cond_path = write_condition(trained["tmp"], frames=cond_frames)
+            state = RO.init(R.to_model_space(R.read_clip(cond_path).frames), 10)
+            frames = RO.run(state, model, schedule, None, settings, 3, rng)
+        else:
+            cond_path = "none"
+            state = RO.bootstrap(model, schedule, None, settings, 4, (3, 16, 24), 10, rng)
+            frames = RO.run(state, model, schedule, None, settings, 2, rng)
+        want = trained["tmp"] / "want.toyr"
+        R.write_clip(R.ClipRecord(frames=R.to_pixel_space(frames), fps=10,
+                                  caption="unconditional rollout",
+                                  commands=np.zeros(len(frames), np.uint8)), want)
+        out = trained["tmp"] / "gen.toyr"
+        assert main(["rollout", "--ckpt", trained["ckpt"], "--config", str(trained["cfg"]),
+                     "--cond", str(cond_path), "--iters", "3", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+        records = [json.loads(line) for line in
+                   (trained["tmp"] / "gen.toyr.chunks.jsonl").read_text().splitlines()]
+        assert [r["chunk"] for r in records] == [0, 1, 2]
+        assert [r["frames_written"] for r in records] == [8, 12, 16]
+        assert all(r["finite"] and r["wall_s"] > 0 and r["ms_per_step"] > 0 for r in records)
+        assert (records[0]["seam"] is None) == (cond_frames == 0)
+        assert all(r["seam"] >= 0 and r["within"] >= 0 for r in records[1:])
+        assert [sorted(r) for r in records] == [sorted(records[0])] * 3
+
+    def test_peak_memory_flat_in_iterations(self, trained):
+        import tracemalloc
+
+        def peak(iters):
+            tracemalloc.start()
+            try:
+                assert main(["rollout", "--ckpt", trained["ckpt"], "--config",
+                             str(trained["cfg"]), "--cond", "none", "--iters", str(iters),
+                             "--out", str(trained["tmp"] / "p.toyr")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 27 more chunks are 108 frames, 0.5 MB in float32: none of them is held
+        assert peak(30) - peak(3) < 64 * 1024
 
     def test_negative_seed_exit_one(self, trained):
         rc = main(["rollout", "--ckpt", trained["ckpt"], "--config", str(trained["cfg"]),

@@ -256,6 +256,87 @@ class TestFeatures:
 EXTRACTOR_CHECKSUM = "70030908-e7df101e"
 
 
+def oracle_features(net, batch):
+    """The one-shot feature net the batched call replaced, as reference: the
+    whole (N, C, H, W) batch through `_gradients` and `_stats` at once."""
+    x = M._to_unit(batch)
+    hw = (x.shape[2], x.shape[3])
+    zero = np.zeros((1, 2 * net.channels) + hw)
+    feats = net._stats(net._gradients(x)) - net._stats(zero)[0][None, :]
+    hom = np.full((feats.shape[0], 1), net.HOMOGENEOUS)
+    feats = np.concatenate([feats, hom], axis=1)
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    return feats / np.maximum(norms, 1e-12)
+
+
+def oracle_video_features(video, seed):
+    vid = M._to_unit(video)
+    k, c = vid.shape[0] // M.STACK_LEN, vid.shape[1]
+    stacked = vid[:k * M.STACK_LEN].reshape(k, M.STACK_LEN * c, *vid.shape[2:])
+    return (oracle_features(M._net(c, seed), vid),
+            oracle_features(M._net(M.STACK_LEN * c, seed), stacked))
+
+
+# frame sizes at which every batched conv GEMM rounds like the one-shot one,
+# the data default 32x48 among them (all of 1-70 frames checked with
+# OpenBLAS 0.3.31 at 1 and 2 threads)
+BIT_EQUAL_SIZES = [(32, 48), (32, 32), (16, 64), (64, 48), (40, 60)]
+
+
+@st.composite
+def feature_videos(draw, sizes=None):
+    """Videos of 1-70 frames (0 to 4 stacks), uint8 or unit-range float."""
+    h, w = draw(st.sampled_from(sizes)) if sizes else (draw(st.integers(4, 40)),
+                                                       draw(st.integers(4, 40)))
+    shape = (draw(st.integers(1, 70)), draw(st.sampled_from([1, 3])), h, w)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(["uint8", "float64"])) == "uint8":
+        return rng.integers(0, 256, shape).astype(np.uint8)
+    return rng.random(shape)
+
+
+class TestBatchedFeatures:
+    @settings(max_examples=30, deadline=None)
+    @given(feature_videos(BIT_EQUAL_SIZES))
+    def test_equals_one_shot_oracle(self, video):
+        got = M.video_features(video, 42)
+        want = oracle_video_features(video, 42)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            if len(w):  # the callers' reductions sum in an order set by the layout
+                assert g.strides == w.strides
+
+    @settings(max_examples=30, deadline=None)
+    @given(feature_videos())
+    def test_other_sizes_within_one_rounding(self, video):
+        # at other sizes BLAS may pick a different kernel for a narrower
+        # GEMM; unit-norm features then move by at most about one ulp
+        got = M.video_features(video, 42)
+        want = oracle_video_features(video, 42)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+            if len(w):
+                assert g.strides == w.strides
+
+    def test_peak_memory_flat_in_clip_length(self):
+        import tracemalloc
+
+        def peak(frames):
+            video = np.random.default_rng(0).integers(0, 256, (frames, 3, 32, 48)).astype(np.uint8)
+            M.video_features(video[:1], 42)  # build the nets and anchors outside the trace
+            tracemalloc.start()
+            try:
+                M.video_features(video, 42)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the only growth is the (L, 225) float64 features and their copies;
+        # the one-shot net grew by about 200 MB over these 432 frames
+        assert peak(480) - peak(48) < 4 * 432 * 225 * 8
+
+
 class TestBackgroundConsistency:
     def test_constant_video(self):
         vid = np.repeat(textured_master(32, 48, seed=8)[None], 5, axis=0)

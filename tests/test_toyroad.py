@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -99,6 +100,39 @@ class TestCaptions:
             R.encode_caption("front camera. quasar.")
 
 
+def oracle_parse_clip(blob):
+    """The reader that parsed a whole-file blob, kept as the reference for
+    error messages and offsets."""
+    if blob[:4] != R.MAGIC:
+        raise FormatError(f"bad clip magic {blob[:4]!r}, expected {R.MAGIC!r}", offset=0)
+    pos = 4
+    try:
+        version, h, w, l, c, fps = struct.unpack_from("<HHHHBB", blob, pos)
+    except struct.error:
+        raise FormatError("truncated clip header", offset=pos)
+    pos += 10
+    if version != R.VERSION:
+        raise FormatError(f"unsupported clip version {version}", offset=4)
+    try:
+        (cap_len,) = struct.unpack_from("<I", blob, pos)
+    except struct.error:
+        raise FormatError("truncated caption length", offset=pos)
+    pos += 4
+    if pos + cap_len > len(blob):
+        raise FormatError("truncated caption", offset=pos)
+    try:
+        blob[pos:pos + cap_len].decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError("caption is not valid UTF-8", offset=pos + e.start)
+    pos += cap_len
+    if pos + l > len(blob):
+        raise FormatError("truncated command track", offset=pos)
+    pos += l
+    need = l * c * h * w
+    if pos + need > len(blob):
+        raise FormatError(f"truncated pixel payload, need {need} bytes", offset=pos)
+
+
 class TestClipFormat:
     def _record(self):
         spec = R.random_scene(np.random.default_rng(0), 16)
@@ -134,6 +168,49 @@ class TestClipFormat:
         with pytest.raises(FormatError) as ei:
             R.read_clip(path)
         assert ei.value.offset is not None
+
+    def test_read_errors_match_whole_file_reader(self, tmp_path):
+        # every truncation and a bad version, caption or magic fails with the
+        # same error, message and offset as the reader that parsed one blob
+        path = tmp_path / "a.toyr"
+        R.write_clip(self._record(), path)
+        blob = path.read_bytes()
+        cases = [blob[:n] for n in range(len(blob) - 3)]  # last frames truncated
+        cases += [blob[:4] + b"\x02" + blob[5:], blob[:18] + b"\xff" + blob[19:],
+                  b"TOY", blob[:28] + b"\xc3" + blob[29:]]
+        for k, case in enumerate(cases):
+            path.write_bytes(case)
+            with pytest.raises(FormatError) as got:
+                R.read_clip(path)
+            with pytest.raises(FormatError) as want:
+                oracle_parse_clip(case)
+            assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset), k
+
+    def test_failed_write_leaves_old_clip(self, tmp_path):
+        rec = self._record()
+        path = tmp_path / "a.toyr"
+        R.write_clip(rec, path)
+        old = path.read_bytes()
+
+        def chunks():
+            yield rec.frames[:4]
+            raise RuntimeError("sampler died")
+
+        with pytest.raises(RuntimeError):
+            R.write_clip_chunks(path, rec.frames.shape[1:], 10, rec.caption,
+                                rec.commands, chunks())
+        with pytest.raises(ContractError):  # one frame short of the header's count
+            R.write_clip_chunks(path, rec.frames.shape[1:], 10, rec.caption,
+                                rec.commands, [rec.frames[:4], rec.frames[4:-1]])
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.toyr"]
+
+    def test_chunked_write_equals_whole_write(self, tmp_path):
+        rec = self._record()
+        R.write_clip(rec, tmp_path / "a.toyr")
+        R.write_clip_chunks(tmp_path / "b.toyr", rec.frames.shape[1:], rec.fps, rec.caption,
+                            rec.commands, [rec.frames[:3], rec.frames[3:3], rec.frames[3:]])
+        assert (tmp_path / "a.toyr").read_bytes() == (tmp_path / "b.toyr").read_bytes()
 
     def test_zero_frame_rejected(self, tmp_path):
         rec = self._record()

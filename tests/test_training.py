@@ -198,6 +198,16 @@ class TestCheckpointRoundTrip:
         after = fresh.forward(xt, t, None, plan).eps_hat.data
         assert before.tobytes() == after.tobytes()
 
+    def test_failed_save_leaves_old_checkpoint(self, tmp_path):
+        path = tmp_path / "m.idck"
+        CK.save_tensors(path, {"a": Tensor(np.arange(3, dtype=np.float32))})
+        old = path.read_bytes()
+        with pytest.raises(KeyError):  # int32 has no dtype code; "a" is written first
+            CK.save_tensors(path, {"a": Tensor(np.ones(3, dtype=np.float32)),
+                                   "b": np.zeros(2, dtype=np.int32)})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.idck"]
+
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "m.idck"
         CK.save_tensors(path, {"a": Tensor(np.zeros(3, dtype=np.float32))})

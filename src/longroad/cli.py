@@ -2,8 +2,9 @@
 autoregressive rollout, and metric reports.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure.
-Every command is deterministic given its seed and configuration; JSON outputs
-embed the configuration hash.
+Every command is deterministic given its seed, its configuration and the BLAS
+thread count (outputs are byte-identical only at a fixed count; `WM_THREADS`
+caps it); JSON outputs embed the configuration hash.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import toyroad as R
 from . import training as TR
 from .backbone import ConditionSet, VideoDenoiser
 from .diffusion import build_schedule
-from .fileio import atomic_write
+from .fileio import atomic_write, output_errors
 from .errors import (ConfigError, ContractError, DataError, FormatError,
                      LongroadError, MetricUndefinedError, NumericDomainError,
                      NumericFailure)
@@ -112,7 +113,8 @@ def cmd_train(args) -> int:
     model = _build_model(cfg)
     tc = cfgmod.train_config(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with output_errors(out):
+        out.mkdir(parents=True, exist_ok=True)
     chash = cfgmod.config_hash(cfg)
     result = TR.run_curriculum(model, dataset, tc, out,
                                log_path=out / "train_log.jsonl")
@@ -208,7 +210,10 @@ def cmd_rollout(args) -> int:
             start = time.perf_counter()
 
     caption = args.caption or "unconditional rollout"
-    with open(str(args.out) + ".chunks.jsonl", "w") as log:
+    log_path = str(args.out) + ".chunks.jsonl"
+    with output_errors(log_path):
+        log = open(log_path, "w")
+    with log:
         R.write_clip_chunks(args.out, frame_shape, fps, caption,
                             np.full(total, cmd_code, np.uint8), pixel_chunks(log))
     sidecar = {

@@ -7,6 +7,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from .backbone import ModelConfig
@@ -93,6 +94,9 @@ def _validate(cfg: dict) -> list[str]:
         model_config(cfg)
     except (ConfigError, TypeError, ValueError) as e:
         problems.append(f"model: {e}")
+    rope_base = cfg["model"]["rope_base"]
+    if not _is_number(rope_base) or rope_base <= 0:
+        problems.append(f"model.rope_base must be a finite positive number, got {rope_base!r}")
     t = cfg["train"]
     train_problems = (
         [f"train.{k} must be an integer, got {t[k]!r}" for k in _TRAIN_INTS
@@ -100,7 +104,7 @@ def _validate(cfg: dict) -> list[str]:
         + [f"train.{k} must be a non-empty list of positive integers, got {t[k]!r}"
            for k in _TRAIN_INT_LISTS
            if not (isinstance(t[k], list) and t[k] and all(_is_int(v) and v >= 1 for v in t[k]))]
-        + [f"train.{k} must be a number, got {t[k]!r}" for k in _TRAIN_NUMBERS
+        + [f"train.{k} must be a finite number, got {t[k]!r}" for k in _TRAIN_NUMBERS
            if not _is_number(t[k])])
     problems.extend(train_problems)
     for section in ("data", "train"):  # seeds key numpy SeedSequences
@@ -132,7 +136,8 @@ def _validate(cfg: dict) -> list[str]:
             problems.append(f"data.{key} ({size}) must be divisible by model.patch ({patch})")
     r = cfg["rollout"]
     if not _is_number(r["guidance_scale"]):
-        problems.append(f"rollout.guidance_scale must be a number, got {r['guidance_scale']!r}")
+        problems.append(f"rollout.guidance_scale must be a finite number, "
+                        f"got {r['guidance_scale']!r}")
     memory = cfg["train"]["memory_span_d"]
     if _is_int(r["l_window"]) and _is_int(memory) and r["l_window"] <= memory:
         problems.append("rollout.l_window must exceed train.memory_span_d")
@@ -144,7 +149,10 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int, or a finite float: JSON's NaN and Infinity are no config value."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value)
 
 
 def model_config(cfg: dict) -> ModelConfig:

@@ -1,11 +1,24 @@
-"""Atomic file writes: a path holds either its old contents or the complete
-new ones, never a partial write."""
+"""Output files: atomic writes, in which a path holds either its old contents
+or the complete new ones, never a partial write; and a typed error when an
+output cannot be created."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import DataError
+
+
+@contextmanager
+def output_errors(path):
+    """Raise an OSError from creating output `path` (a missing parent
+    directory, a file where a directory should be) as a DataError naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 @contextmanager
@@ -16,10 +29,13 @@ def atomic_write(path):
     against a writer that fails or is killed, not against power loss."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    with output_errors(path):
+        f = open(tmp, "wb")
     try:
-        with open(tmp, "wb") as f:
+        with f:
             yield f
-        os.replace(tmp, path)
+        with output_errors(path):
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

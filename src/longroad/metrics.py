@@ -48,8 +48,10 @@ class MetricConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.c, (int, float)) or isinstance(self.c, bool) or self.c <= 0:
-            raise ConfigError(f"MAWE coefficient must be a positive number, got {self.c!r}")
+        if (not isinstance(self.c, (int, float)) or isinstance(self.c, bool)
+                or not 0 < self.c < math.inf):  # NaN fails the comparison
+            raise ConfigError(f"c (the MAWE coefficient) must be a finite positive number, "
+                              f"got {self.c!r}")
         if self.window < 2:
             raise ConfigError("evaluation window must span at least 2 frames")
         if self.search_radius < 0 or self.block < 1:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError
-from .fileio import atomic_write
+from .fileio import atomic_write, output_errors
 from .seeding import rng_for
 
 MAGIC = b"TOYR"
@@ -325,7 +325,8 @@ def scene_for_clip(dataset_seed: int, index: int, track_len: int) -> SceneSpec:
 def generate_dataset(out_dir, clips: int, frames: int, height: int, width: int,
                      fps: int, seed: int, extra_manifest: dict | None = None) -> Path:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with output_errors(out):
+        out.mkdir(parents=True, exist_ok=True)
     for i in range(clips):
         spec = scene_for_clip(seed, i, frames)
         record = render_clip(spec, height, width, frames, fps)

@@ -7,7 +7,7 @@ from longroad import metrics as M
 from longroad import rollout as RO
 from longroad import toyroad as R
 from longroad.backbone import VideoDenoiser
-from longroad.checkpoint import load_into
+from longroad.checkpoint import load_into, save_tensors
 from longroad.cli import build_parser, main
 from longroad.config import load_config, model_config
 from longroad.diffusion import build_schedule
@@ -405,6 +405,63 @@ def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):
                *argv, "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, command", [
+    ({"eval": {"c": float("nan")}}, "eval: c (", "eval"),
+    ({"eval": {"c": float("inf")}}, "eval: c (", "eval"),
+    ({"rollout": {"guidance_scale": float("nan")}}, "rollout.guidance_scale", "eval"),
+    ({"train": {"lr": float("nan")}}, "train.lr", "train"),
+    ({"train": {"beta_end": float("-inf")}}, "train.beta_end", "train"),
+    ({"model": {"rope_base": float("inf")}}, "model.rope_base", "train"),
+])
+def test_non_finite_config_number_exit_one(tmp_path, capsys, section, key, command):
+    # JSON's NaN and Infinity parse to floats; before they were rejected, eval
+    # wrote "mawe": NaN and train wrote a checkpoint of NaN weights
+    data = datagen(tmp_path)
+    cfg = write_config(tmp_path, {k: {**v, **section.get(k, {})}
+                                  for k, v in TINY_CONFIG.items()})
+    out = tmp_path / "out"
+    argv = {"eval": ["eval", "--gen", str(data), "--ref", str(data)],
+            "train": ["train", "--data", str(data)]}[command]
+    rc = main([*argv, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["datagen", "train", "rollout", "eval", "eval-csv"])
+def test_unwritable_output_exit_two(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    missing = tmp_path / "missing"
+    data = datagen(tmp_path)
+    cfg = str(write_config(tmp_path))
+    evaluate = ["eval", "--gen", str(data), "--ref", str(data), "--config", cfg]
+    if command == "datagen":
+        target = afile / "sub"
+        argv = ["datagen", "--out", str(target), "--clips", "1", "--frames", "4"]
+    elif command == "train":
+        target = afile / "run"
+        argv = ["train", "--config", cfg, "--data", str(data), "--out", str(target)]
+    elif command == "rollout":
+        ckpt = tmp_path / "model.idck"
+        model = VideoDenoiser(model_config(load_config(cfg)), rng_for(3, "init"))
+        save_tensors(ckpt, model.named_parameters())
+        target = missing / "x.toyr.chunks.jsonl"
+        argv = ["rollout", "--ckpt", str(ckpt), "--config", cfg, "--cond", "none",
+                "--iters", "1", "--out", str(missing / "x.toyr")]
+    elif command == "eval":
+        target = missing / "r.json"
+        argv = [*evaluate, "--out", str(target)]
+    else:
+        target = missing / "c.csv"
+        argv = [*evaluate, "--out", str(tmp_path / "r.json"), "--csv", str(target)]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(target) in err
 
 
 @pytest.mark.parametrize("content", [b"[1, 2]",                          # not an object

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longroad import tensor as T
 from longroad.errors import ContractError, NumericDomainError, ShapeError
@@ -92,6 +97,95 @@ class TestElementwise:
         check_grads(lambda a, b: T.reduce_sum(T.mul(T.add(a, b), T.sub(a, b))), [a, b])
         c = t64(rng.uniform(0.5, 1.5, size=(2, 3)))
         check_grads(lambda a, c: T.reduce_sum(T.div(a, c)), [a, c])
+
+
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def gelu_oracle(x):
+    """GELU and its cdf as computed before the blocked kernel: scipy's erf."""
+    with np.errstate(all="ignore"):
+        cdf = 0.5 * (1 + scipy.special.erf(x * INV_SQRT2))
+        return x * cdf, cdf
+
+
+def gelu_grad_oracle(x, cdf, g):
+    """The unchanged GELU backward, g * (cdf + x * pdf), in its op order."""
+    with np.errstate(all="ignore"):
+        pdf = x * x
+        pdf *= -0.5
+        np.exp(pdf, out=pdf)
+        pdf *= 1.0 / math.sqrt(2.0 * math.pi)
+        pdf *= x
+        pdf += cdf
+        pdf *= g
+        return pdf
+
+
+def assert_bit_equal(got, want):
+    """Bit-equal, except that any NaN matches any NaN: the oracle's own NaN
+    payloads depend on where an element sits in its array (numpy's multiply
+    keeps the first operand's payload in a loop's first elements and the
+    second's after), so they are no property of GELU."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    bits = np.dtype(f"u{want.itemsize}")
+    bad = np.flatnonzero((got.view(bits) != want.view(bits)) & ~nan)
+    assert bad.size == 0, (got.ravel()[bad[:5]], want.ravel()[bad[:5]])
+
+
+# values at the kernel's edges: zeros, subnormals, the main piece's end
+# (|y| = 2), the saturation point, infinities and NaN, as x = y * sqrt 2
+GELU_EDGES = np.array(
+    [0.0, -0.0, 1e-45, -1.6623999e-38, 1.6624e-38, 2.828427, -2.8284273, 2.8284276,
+     5.542594, -5.5425944, 40.0, -3.4e38, np.inf, -np.inf, np.nan],
+    dtype=np.float32)
+BLOCK = T._GELU_BLOCK
+
+
+@st.composite
+def gelu_inputs(draw):
+    """float32 arrays of random bit patterns or activation-like values, with
+    sizes around block boundaries and the kernel's edge values mixed in."""
+    n = draw(st.sampled_from([0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5, 3 * BLOCK - 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    else:
+        x = (rng.standard_normal(n) * draw(st.sampled_from([0.3, 1.1, 3.0]))).astype(np.float32)
+    at = rng.integers(0, max(n, 1), min(n, len(GELU_EDGES)))
+    x[at] = GELU_EDGES[:len(at)]
+    if n % 5 == 0 and draw(st.booleans()):
+        x = x.reshape(5, -1).T  # non-contiguous, as an op's output can be
+    return x
+
+
+class TestGeluFloat32:
+    @settings(max_examples=40, deadline=None)
+    @given(gelu_inputs())
+    def test_forward_and_backward_bit_equal_to_scipy_erf(self, x):
+        want, want_cdf = gelu_oracle(x)
+        assert_bit_equal(T._gelu32(x, keep_cdf=False)[0], want)  # Tensor() copies x contiguous
+        with T.no_grad():
+            assert_bit_equal(T.gelu(Tensor(x)).data, want)
+        xt = Tensor(x, requires_grad=True)
+        out = T.gelu(xt)
+        assert_bit_equal(out.data, want)
+        g = np.random.default_rng(x.size).standard_normal(x.shape).astype(np.float32)
+        with np.errstate(all="ignore"):  # inf and NaN inputs
+            T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        assert_bit_equal(xt.grad, gelu_grad_oracle(x, want_cdf, g))
+
+    @pytest.mark.slow
+    def test_all_float32_bit_patterns(self):
+        chunk = 1 << 22
+        for start in range(0, 1 << 32, chunk):
+            x = np.arange(start, start + chunk, dtype=np.uint32).view(np.float32)
+            want, want_cdf = gelu_oracle(x)
+            out, cdf = T._gelu32(x, keep_cdf=True)
+            assert_bit_equal(out, want)
+            assert_bit_equal(cdf, want_cdf)
 
 
 class TestSoftmax:

@@ -33,7 +33,7 @@ class ModelConfig:
     depth: int = 4
     hidden: int = 128
     heads: int = 4
-    patch: int = 2
+    patch: int = 4         # keeps CPU spatial attention tractable at alpha-scaled sizes
     channels: int = 3
     t_max: int = 1000
     text_vocab: int = 64
@@ -48,6 +48,8 @@ class ModelConfig:
             raise ConfigError("head dim must be even for rotary pairs")
         if self.hidden % 4:
             raise ConfigError("hidden must be a multiple of 4 for 2-D position embeddings")
+        if not self.rope_base > 0:
+            raise ConfigError(f"rope_base must be positive, got {self.rope_base}")
 
     @property
     def head_dim(self) -> int:

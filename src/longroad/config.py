@@ -1,10 +1,15 @@
 """Run configuration: nested JSON with strict keys, documented defaults, and
 a content hash recorded in every (JSON) output an experiment produces.
+
+The `model`, `train` and `eval` defaults are the fields of ModelConfig,
+TrainConfig and MetricConfig; `data` and `rollout` have no dataclass and are
+written out below. Each key's expected type is the type of its default.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,37 +21,30 @@ from .metrics import MetricConfig
 from .toyroad import HEADER_LIMITS
 from .training import TrainConfig
 
+
+def _field_defaults(cls) -> dict:
+    """A config dataclass's field defaults as JSON values (tuples as lists)."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls)}
+
+
 DEFAULTS: dict = {
-    "model": {
-        # patch 4 keeps CPU spatial attention tractable at the alpha-scaled
-        # resolutions; ModelConfig itself defaults to patch 2
-        "depth": 4, "hidden": 128, "heads": 4, "patch": 4, "channels": 3,
-        "t_max": 1000, "text_vocab": 64, "max_original_index": 4096,
-        "mlp_ratio": 4, "rope_base": 10000.0,
-    },
+    "model": _field_defaults(ModelConfig),
     "data": {
         "clips": 8, "frames": 64, "height": 32, "width": 48, "fps": 10, "seed": 0,
     },
-    "train": {
-        "phase_frames": [8, 16, 32], "phase_steps": [150, 150, 200],
-        "token_budget": 32, "alpha_set": [1, 2], "memory_span_d": 4,
-        "lam": 2.0, "lr": 2e-3, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
-        "grad_clip": 1.0, "cond_dropout": 0.1, "seed": 0,
-        "t_max": 1000, "beta_start": 1e-4, "beta_end": 0.02,
-    },
+    "train": _field_defaults(TrainConfig),
     "rollout": {
         "l_window": 32, "steps": 50, "guidance_scale": 1.0, "fps": 10,
     },
-    "eval": {
-        "window": 40, "c": 9.5, "search_radius": 4, "block": 8,
-        "feature_seed": 90210,
-    },
+    "eval": _field_defaults(MetricConfig),
 }
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Defaults deep-merged with the JSON file (if any); unknown keys rejected
-    and every validation problem reported at once."""
+    """Defaults deep-merged with the JSON file (if any), then with
+    `overrides`. Unknown keys and wrong types are reported together, then
+    every value problem, in one ConfigError."""
     merged = copy.deepcopy(DEFAULTS)
     problems: list[str] = []
     user = {}
@@ -61,87 +59,80 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"config {path} is not valid JSON: {e}")
         if not isinstance(user, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-    if overrides:
-        for section, vals in overrides.items():
-            user.setdefault(section, {}).update(vals)
-    for section, values in user.items():
-        if section not in merged:
-            problems.append(f"unknown config section {section!r}")
-            continue
-        if not isinstance(values, dict):
-            problems.append(f"section {section!r} must be an object")
-            continue
-        for key, value in values.items():
-            if key not in merged[section]:
-                problems.append(f"unknown key {section}.{key}")
+    for source in (user, overrides or {}):
+        for section, values in source.items():
+            if section not in merged:
+                problems.append(f"unknown config section {section!r}")
+            elif not isinstance(values, dict):
+                problems.append(f"section {section!r} must be an object")
             else:
-                merged[section][key] = value
+                for key, value in values.items():
+                    if key not in merged[section]:
+                        problems.append(f"unknown key {section}.{key}")
+                    else:
+                        merged[section][key] = value
     problems.extend(_validate(merged))
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
     return merged
 
 
-_TRAIN_INTS = ("memory_span_d", "token_budget", "t_max")
-_TRAIN_INT_LISTS = ("phase_frames", "phase_steps", "alpha_set")
-_TRAIN_NUMBERS = ("lam", "lr", "beta1", "beta2", "adam_eps", "grad_clip",
-                  "cond_dropout", "beta_start", "beta_end")
-
-
 def _validate(cfg: dict) -> list[str]:
-    problems = []
-    try:
-        model_config(cfg)
-    except (ConfigError, TypeError, ValueError) as e:
-        problems.append(f"model: {e}")
-    rope_base = cfg["model"]["rope_base"]
-    if not _is_number(rope_base) or rope_base <= 0:
-        problems.append(f"model.rope_base must be a finite positive number, got {rope_base!r}")
-    t = cfg["train"]
-    train_problems = (
-        [f"train.{k} must be an integer, got {t[k]!r}" for k in _TRAIN_INTS
-         if not _is_int(t[k])]
-        + [f"train.{k} must be a non-empty list of positive integers, got {t[k]!r}"
-           for k in _TRAIN_INT_LISTS
-           if not (isinstance(t[k], list) and t[k] and all(_is_int(v) and v >= 1 for v in t[k]))]
-        + [f"train.{k} must be a finite number, got {t[k]!r}" for k in _TRAIN_NUMBERS
-           if not _is_number(t[k])])
-    problems.extend(train_problems)
-    for section in ("data", "train"):  # seeds key numpy SeedSequences
-        seed = cfg[section]["seed"]
-        if not _is_int(seed) or seed < 0:
-            problems.append(f"{section}.seed must be a non-negative integer, got {seed!r}")
-    if not train_problems:
+    """Every key's type first; the value rules run once all types hold, so
+    each dataclass is built from well-typed fields."""
+    problems = [problem for section, values in cfg.items()
+                for key, value in values.items()
+                if (problem := _type_problem(section, key, value))]
+    if problems:
+        return problems
+    for section, build in (("model", model_config), ("train", train_config),
+                           ("eval", metric_config)):
         try:
-            train_config(cfg)
+            build(cfg)
         except ConfigError as e:
-            problems.append(f"train: {e}")
-    try:
-        metric_config(cfg)
-    except ConfigError as e:
-        problems.append(f"eval: {e}")
-    for section, keys in (("data", ("clips", "frames", "height", "width", "fps")),
-                          ("rollout", ("l_window", "steps", "fps"))):
-        for key in keys:
-            value = cfg[section][key]
-            if not _is_int(value) or value < 1:
-                problems.append(f"{section}.{key} must be a positive integer, got {value!r}")
-            elif key in HEADER_LIMITS and value > HEADER_LIMITS[key]:
-                problems.append(f"{section}.{key} must be <= {HEADER_LIMITS[key]} to fit "
-                                f"the clip header, got {value}")
-    patch = cfg["model"]["patch"]
+            problems.append(f"{section}: {e}")
+    model, data, train, rollout = (cfg[s] for s in ("model", "data", "train", "rollout"))
+    for section in ("data", "rollout"):
+        for key, limit in HEADER_LIMITS.items():
+            if cfg[section].get(key, 0) > limit:
+                problems.append(f"{section}.{key} must be <= {limit} to fit the clip "
+                                f"header, got {cfg[section][key]}")
     for key in ("height", "width"):
-        size = cfg["data"][key]
-        if _is_int(size) and _is_int(patch) and patch >= 1 and size % patch:
-            problems.append(f"data.{key} ({size}) must be divisible by model.patch ({patch})")
-    r = cfg["rollout"]
-    if not _is_number(r["guidance_scale"]):
-        problems.append(f"rollout.guidance_scale must be a finite number, "
-                        f"got {r['guidance_scale']!r}")
-    memory = cfg["train"]["memory_span_d"]
-    if _is_int(r["l_window"]) and _is_int(memory) and r["l_window"] <= memory:
+        if data[key] % model["patch"]:
+            problems.append(f"data.{key} ({data[key]}) must be divisible by "
+                            f"model.patch ({model['patch']})")
+    if rollout["l_window"] <= train["memory_span_d"]:
         problems.append("rollout.l_window must exceed train.memory_span_d")
+    if train["t_max"] > model["t_max"]:
+        problems.append(f"train.t_max ({train['t_max']}) must be <= model.t_max "
+                        f"({model['t_max']})")
+    # a window of L frames puts original indices 0 .. L-1 on the time axis
+    for name, frames in (("rollout.l_window", rollout["l_window"]),
+                         ("train.phase_frames", max(train["phase_frames"]))):
+        if frames - 1 > model["max_original_index"]:
+            problems.append(f"{name} ({frames} frames) must be <= "
+                            f"model.max_original_index + 1 ({model['max_original_index'] + 1})")
     return problems
+
+
+def _type_problem(section: str, key: str, value) -> str | None:
+    """The one type rule, read off the key's default: a float default takes a
+    finite number, a list default a non-empty list of positive integers, an
+    int default a positive integer (seeds and the flow search radius may be
+    0)."""
+    default = DEFAULTS[section][key]
+    if isinstance(default, float):
+        ok, rule = _is_number(value), "a finite number"
+    elif isinstance(default, list):
+        ok = (isinstance(value, list) and len(value) > 0
+              and all(_is_int(v) and v >= 1 for v in value))
+        rule = "a non-empty list of positive integers"
+    elif key.endswith("seed") or key == "search_radius":
+        ok, rule = _is_int(value) and value >= 0, "a non-negative integer"
+    else:
+        ok, rule = _is_int(value) and value >= 1, "a positive integer"
+    # worded like the dataclass problems ("eval: c (...)"), naming the key
+    return None if ok else f"{section}: {key} ({section}.{key} = {value!r}) must be {rule}"
 
 
 def _is_int(value) -> bool:
@@ -160,11 +151,8 @@ def model_config(cfg: dict) -> ModelConfig:
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    t = dict(cfg["train"])
-    t["phase_frames"] = tuple(t["phase_frames"])
-    t["phase_steps"] = tuple(t["phase_steps"])
-    t["alpha_set"] = tuple(t["alpha_set"])
-    return TrainConfig(**t)
+    return TrainConfig(**{k: tuple(v) if isinstance(v, list) else v
+                          for k, v in cfg["train"].items()})
 
 
 def metric_config(cfg: dict, window: int | None = None) -> MetricConfig:

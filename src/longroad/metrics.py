@@ -44,12 +44,7 @@ class MetricConfig:
     feature_seed: int = 90210
 
     def __post_init__(self):
-        for name in ("window", "search_radius", "block", "feature_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if (not isinstance(self.c, (int, float)) or isinstance(self.c, bool)
-                or not 0 < self.c < math.inf):  # NaN fails the comparison
+        if not 0 < self.c < math.inf:  # NaN fails the comparison
             raise ConfigError(f"c (the MAWE coefficient) must be a finite positive number, "
                               f"got {self.c!r}")
         if self.window < 2:

@@ -51,6 +51,13 @@ class TrainConfig:
             raise ConfigError("condition dropout must lie in [0, 1)")
         if len(self.phase_frames) != len(self.phase_steps):
             raise ConfigError("need one step budget per phase")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"Adam betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if not 0.0 < self.beta_start <= self.beta_end < 1.0:  # build_schedule's rule
+            raise ConfigError(f"need 0 < beta_start <= beta_end < 1, "
+                              f"got [{self.beta_start}, {self.beta_end}]")
 
 
 class Adam:

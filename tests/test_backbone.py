@@ -183,7 +183,8 @@ class TestTemporalStep:
         ht = Tensor(np.random.default_rng(9).normal(size=(4, 3, 8)).astype(np.float32))
         logits = []
         for base in (10000.0, 50.0):
-            run_cfg = C.load_config(overrides={"model": {**small, "rope_base": base}})
+            run_cfg = C.load_config(overrides={"model": {**small, "rope_base": base},
+                                               "train": {"t_max": 20}})
             model = randomize(B.VideoDenoiser(C.model_config(run_cfg),
                                               np.random.default_rng(0)), seed=6)
             model.forward(np.zeros((3, 1, 4, 4), np.float32), np.array([0, 5, 5]), None,
@@ -347,7 +348,7 @@ class TestArchitectureInvariants:
 
 # frozen from the first build of the default configuration; any change to the
 # architecture must update this deliberately
-DESK_PARAM_COUNT = 2_191_512
+DESK_PARAM_COUNT = 2_205_408
 
 
 class TestConfigValidation:

@@ -396,6 +396,20 @@ class TestEval:
     ({"train": {"lr": "0.001"}}, []),
     ({"train": {"grad_clip": True}}, []),
     ({"model": {"patch": 4}, "data": {"height": 30}}, []),  # 30 rows, 4-row patches
+    ({"model": {"heads": 0}}, []),
+    ({"model": {"depth": "2"}}, []),
+    ({"model": {"mlp_ratio": 2.5}}, []),
+    ({"model": {"patch": 0}}, []),
+    ({"model": {"patch": True}}, []),
+    ({"model": {"hidden": -8}}, []),
+    ({"model": {"channels": 0}}, []),
+    ({"eval": {"feature_seed": -1}}, []),
+    ({"train": {"t_max": 100}}, []),  # beyond model.t_max (50)
+    ({"rollout": {"l_window": 300}}, []),  # beyond model.max_original_index (256)
+    ({"train": {"phase_frames": [300]}}, []),
+    ({"train": {"beta1": 1.5}}, []),
+    ({"train": {"beta2": 1.0}}, []),
+    ({"train": {"adam_eps": -1.0}}, []),
 ])
 def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):
     data = datagen(tmp_path)

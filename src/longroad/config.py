@@ -16,6 +16,7 @@ import math
 from pathlib import Path
 
 from .backbone import ModelConfig
+from .curriculum import curriculum_schedule, window_memory
 from .errors import ConfigError, DataError
 from .metrics import MetricConfig
 from .toyroad import HEADER_LIMITS
@@ -106,6 +107,15 @@ def _validate(cfg: dict) -> list[str]:
     if train["t_max"] > model["t_max"]:
         problems.append(f"train.t_max ({train['t_max']}) must be <= model.t_max "
                         f"({model['t_max']})")
+    if rollout["steps"] > train["t_max"]:
+        problems.append(f"rollout.steps ({rollout['steps']}) must be <= train.t_max "
+                        f"({train['t_max']})")
+    try:  # the curriculum's own rules (TrainConfig checks the step budgets)
+        for phase in curriculum_schedule(train["phase_frames"], 1, train["token_budget"]):
+            for alpha in train["alpha_set"]:
+                window_memory(phase.frames, alpha, train["memory_span_d"])
+    except ConfigError as e:
+        problems.append(f"train: {e}")
     # a window of L frames puts original indices 0 .. L-1 on the time axis
     for name, frames in (("rollout.l_window", rollout["l_window"]),
                          ("train.phase_frames", max(train["phase_frames"]))):

@@ -84,6 +84,19 @@ def memory_len(alpha: int, memory_span_d: int) -> int:
     return memory_span_d // stride
 
 
+def window_memory(window: int, alpha: int, memory_span_d: int) -> int:
+    """Memory frames of a `window`-frame draw at `alpha`; the window must
+    divide by alpha^2 and leave at least one future frame."""
+    stride = alpha * alpha
+    if window % stride:
+        raise ConfigError(f"window {window} not divisible by alpha^2 = {stride}")
+    m = memory_len(alpha, memory_span_d)
+    if m >= window // stride:
+        raise ConfigError(f"memory span {memory_span_d} leaves no future frames in a "
+                          f"{window}-frame window at alpha {alpha}")
+    return m
+
+
 def curriculum_schedule(targets, steps, token_budget: int) -> list[CurriculumPhase]:
     """Phases in order of growing window; batch sizes keep frames*batch at the
     token budget (halving batch as the window doubles)."""
@@ -122,12 +135,7 @@ def next_batch(phase: CurriculumPhase, dataset: ClipDataset, rng: np.random.Gene
             f"dataset clips have {dataset.base_frames} frames, phase needs {phase.frames}"
         )
     draw = draw_density(rng, meta, alpha_set, phase.frames)
-    m = memory_len(draw.alpha, memory_span_d)
-    if m >= draw.l_curr:
-        raise ConfigError(
-            f"memory span {memory_span_d} leaves no future frames in a "
-            f"{phase.frames}-frame window at alpha {draw.alpha}"
-        )
+    m = window_memory(phase.frames, draw.alpha, memory_span_d)
     clip_index = int(rng.integers(0, len(dataset)))
     window_start = int(rng.integers(0, dataset.base_frames - phase.frames + 1))
 

@@ -131,44 +131,51 @@ def _lateral_offsets(spec: SceneSpec, l: int) -> np.ndarray:
 def render_clip(spec: SceneSpec, h: int, w: int, l: int, fps: int,
                 base_h: int | None = None, supersample: int = 4) -> ClipRecord:
     """Render `l` frames at (h, w). `base_h` anchors motion amounts in
-    base-resolution pixels (defaults to h)."""
+    base-resolution pixels (defaults to h).
+
+    Each frame is painted as a label map over the supersampled grid (one
+    palette or vehicle colour index per sample, in painter's order) and
+    box-filtered down by `_box_mean`."""
     if min(h, w, l, fps) <= 0:
         raise ContractError("render dims, frame count and fps must be positive")
+    if supersample < 1 or (base_h is not None and base_h < 1):
+        raise ContractError(f"supersample ({supersample}) and base_h ({base_h}) "
+                            f"must be at least 1")
     if l > spec.command_track.shape[0]:
         raise DataError(
             f"scene command track has {spec.command_track.shape[0]} frames, need {l}"
         )
     base_h = base_h or h
     pal = PALETTES[spec.palette]
+    colors = np.array([pal[k] for k in ("ground", "sky", "road", "edge", "dash")]
+                      + VEHICLE_COLORS)
+    ground, sky, road, edge, dash, first_vehicle = range(6)
     ss = supersample
     # pixel-center sample grid in normalized scene coordinates
     us = (np.arange(w * ss) + 0.5) / (w * ss)
     vs = (np.arange(h * ss) + 0.5) / (h * ss)
     u = us[None, :]
-    v = vs[:, None]
+    top = int(np.searchsorted(vs, _HORIZON))  # rows from `top` on lie below it
+    v = vs[top:, None]
+    bend = spec.road_curvature * (v - _HORIZON) ** 2
+    row_base_px = v * base_h
     lat = _lateral_offsets(spec, l)
 
+    scene = np.empty((h * ss, w * ss), dtype=np.uint8)
+    label = np.empty_like(scene)
     frames = np.empty((l, CHANNELS, h, w), dtype=np.uint8)
     for t in range(l):
-        img = np.empty((h * ss, w * ss, 3), dtype=np.float64)
-        img[:] = pal["ground"]
-        img[vs < _HORIZON, :] = pal["sky"]
-
-        center = 0.5 + lat[t] / base_h + spec.road_curvature * (v - _HORIZON) ** 2
-        below = v >= _HORIZON
-        road = below & (np.abs(u - center) < _ROAD_HALF)
-        img[road] = pal["road"]
-
-        for side in (-1.0, 1.0):
-            edge = below & (np.abs(u - (center + side * _ROAD_HALF)) < _EDGE_HALF)
-            img[edge] = pal["edge"]
-
+        if t == 0 or lat[t] != lat[t - 1]:  # road and edges move only laterally
+            center = 0.5 + lat[t] / base_h + bend
+            scene[:top], scene[top:] = sky, ground
+            scene[top:][np.abs(u - center) < _ROAD_HALF] = road
+            for side in (-1.0, 1.0):
+                scene[top:][np.abs(u - (center + side * _ROAD_HALF)) < _EDGE_HALF] = edge
+            strip = np.abs(u - center) < _DASH_HALF
+        label[:] = scene
         # dash phase advects down by exactly ego_speed base pixels per frame
-        row_base_px = v * base_h
         phase = (row_base_px - spec.ego_speed * t) / _DASH_PERIOD_PX
-        dash_on = np.mod(phase, 1.0) < _DASH_DUTY
-        dash = below & (np.abs(u - center) < _DASH_HALF) & dash_on
-        img[dash] = pal["dash"]
+        label[top:][strip & (np.mod(phase, 1.0) < _DASH_DUTY)] = dash
 
         for veh in spec.vehicles:
             if t < veh.spawn_frame:
@@ -179,14 +186,27 @@ def render_clip(spec: SceneSpec, h: int, w: int, l: int, fps: int,
                 continue
             u_pos = 0.5 + lat[t] / base_h + veh.lane * _ROAD_HALF * 0.5 \
                 + spec.road_curvature * (v_pos - _HORIZON) ** 2
-            box = (np.abs(u - u_pos) < _VEHICLE_W / 2) & (np.abs(v - v_pos) < _VEHICLE_H / 2)
-            img[box] = VEHICLE_COLORS[veh.color]
+            label[np.ix_(np.abs(vs - v_pos) < _VEHICLE_H / 2,
+                         np.abs(us - u_pos) < _VEHICLE_W / 2)] = first_vehicle + veh.color
 
-        coarse = img.reshape(h, ss, w, ss, 3).mean(axis=(1, 3))
-        frames[t] = np.clip(np.round(coarse * 255.0), 0, 255).astype(np.uint8).transpose(2, 0, 1)
+        coarse = _box_mean(label, colors, ss)
+        frames[t] = np.clip(np.round(coarse * 255.0), 0, 255).astype(np.uint8)
 
     return ClipRecord(frames=frames, fps=fps, caption=generate_caption(spec, l),
                       commands=spec.command_track[:l].copy())
+
+
+def _box_mean(label: np.ndarray, colors: np.ndarray, ss: int) -> np.ndarray:
+    """Channel-first (3, h, w) mean of `colors[label]` over each ss x ss block
+    of the (h * ss, w * ss) label map. The ss * ss samples are added one at a
+    time in C order and the sum divided once, which must match
+    `colors[label].reshape(h, ss, w, ss, 3).mean(axis=(1, 3))` bit for bit."""
+    table = np.ascontiguousarray(colors.T)
+    acc = np.take(table, label[::ss, ::ss], axis=1)
+    for k in range(1, ss * ss):
+        acc += np.take(table, label[k // ss::ss, k % ss::ss], axis=1)
+    acc /= ss * ss
+    return acc
 
 
 # -- captions -----------------------------------------------------------------------

@@ -184,7 +184,8 @@ class TestTemporalStep:
         logits = []
         for base in (10000.0, 50.0):
             run_cfg = C.load_config(overrides={"model": {**small, "rope_base": base},
-                                               "train": {"t_max": 20}})
+                                               "train": {"t_max": 20},
+                                               "rollout": {"steps": 20}})
             model = randomize(B.VideoDenoiser(C.model_config(run_cfg),
                                               np.random.default_rng(0)), seed=6)
             model.forward(np.zeros((3, 1, 4, 4), np.float32), np.array([0, 5, 5]), None,

@@ -380,6 +380,17 @@ class TestEval:
         assert sum(pairs) == 2 * (24 - 1)  # no flow metric, no flow
 
 
+# rejected by load_config, before train reads data or creates --out
+EARLY_CONFIG_ERRORS = [
+    {"rollout": {"steps": 60}},  # beyond train.t_max (50)
+    {"train": {"token_budget": 4}},  # below the first phase window (8)
+    {"train": {"alpha_set": [3]}},  # 8-frame window, alpha^2 = 9
+    {"train": {"phase_frames": [16, 8], "phase_steps": [2, 2]}},  # not ascending
+    {"train": {"alpha_set": [1, 2], "memory_span_d": 2}},  # memory 2, alpha^2 = 4
+    {"train": {"memory_span_d": 8}, "rollout": {"l_window": 16}},  # no future frame
+]
+
+
 @pytest.mark.parametrize("section, argv", [
     ({"eval": {"window": "40"}}, []),
     ({"rollout": {"l_window": "8"}}, []),
@@ -410,6 +421,7 @@ class TestEval:
     ({"train": {"beta1": 1.5}}, []),
     ({"train": {"beta2": 1.0}}, []),
     ({"train": {"adam_eps": -1.0}}, []),
+    *[(section, []) for section in EARLY_CONFIG_ERRORS],
 ])
 def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):
     data = datagen(tmp_path)
@@ -419,6 +431,17 @@ def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):
                *argv, "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", EARLY_CONFIG_ERRORS)
+def test_bad_config_leaves_no_train_out(tmp_path, capsys, section):
+    data = datagen(tmp_path)
+    cfg = write_config(tmp_path, {k: {**v, **section.get(k, {})}
+                                  for k, v in TINY_CONFIG.items()})
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, command", [

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from longroad import metrics as M
 from longroad import toyroad as R
@@ -70,9 +74,111 @@ class TestRenderer:
         with pytest.raises(ContractError):
             R.render_clip(plain_scene(), 0, 48, 4, 10)
 
+    @pytest.mark.parametrize("kwargs", [{"supersample": 0}, {"supersample": -1},
+                                        {"base_h": 0}, {"base_h": -32}])
+    def test_bad_supersample_or_base_h(self, kwargs):
+        # supersample 0 used to give black frames, -1 a bare ValueError and a
+        # negative base_h a mirrored scene
+        with pytest.raises(ContractError):
+            R.render_clip(plain_scene(), 16, 24, 4, 10, **kwargs)
+
     def test_track_too_short(self):
         with pytest.raises(DataError):
             R.render_clip(plain_scene(track_len=4), 32, 48, 10, 10)
+
+
+def oracle_render_clip(spec, h, w, l, fps, base_h=None, supersample=4):
+    """The renderer that painted float RGB images and box-filtered them with
+    `mean`, kept as the reference for the label-map renderer's bytes."""
+    base_h = base_h or h
+    pal = R.PALETTES[spec.palette]
+    ss = supersample
+    # pixel-center sample grid in normalized scene coordinates
+    us = (np.arange(w * ss) + 0.5) / (w * ss)
+    vs = (np.arange(h * ss) + 0.5) / (h * ss)
+    u = us[None, :]
+    v = vs[:, None]
+    lat = R._lateral_offsets(spec, l)
+
+    frames = np.empty((l, R.CHANNELS, h, w), dtype=np.uint8)
+    for t in range(l):
+        img = np.empty((h * ss, w * ss, 3), dtype=np.float64)
+        img[:] = pal["ground"]
+        img[vs < R._HORIZON, :] = pal["sky"]
+
+        center = 0.5 + lat[t] / base_h + spec.road_curvature * (v - R._HORIZON) ** 2
+        below = v >= R._HORIZON
+        road = below & (np.abs(u - center) < R._ROAD_HALF)
+        img[road] = pal["road"]
+
+        for side in (-1.0, 1.0):
+            edge = below & (np.abs(u - (center + side * R._ROAD_HALF)) < R._EDGE_HALF)
+            img[edge] = pal["edge"]
+
+        # dash phase advects down by exactly ego_speed base pixels per frame
+        row_base_px = v * base_h
+        phase = (row_base_px - spec.ego_speed * t) / R._DASH_PERIOD_PX
+        dash_on = np.mod(phase, 1.0) < R._DASH_DUTY
+        dash = below & (np.abs(u - center) < R._DASH_HALF) & dash_on
+        img[dash] = pal["dash"]
+
+        for veh in spec.vehicles:
+            if t < veh.spawn_frame:
+                continue
+            age = t - veh.spawn_frame
+            v_pos = R._HORIZON + 0.1 + (spec.ego_speed - veh.speed) * age / base_h
+            if v_pos > 1.0 + R._VEHICLE_H:
+                continue
+            u_pos = 0.5 + lat[t] / base_h + veh.lane * R._ROAD_HALF * 0.5 \
+                + spec.road_curvature * (v_pos - R._HORIZON) ** 2
+            box = (np.abs(u - u_pos) < R._VEHICLE_W / 2) & (np.abs(v - v_pos) < R._VEHICLE_H / 2)
+            img[box] = R.VEHICLE_COLORS[veh.color]
+
+        coarse = img.reshape(h, ss, w, ss, 3).mean(axis=(1, 3))
+        frames[t] = np.clip(np.round(coarse * 255.0), 0, 255).astype(np.uint8).transpose(2, 0, 1)
+    return frames
+
+
+class TestRendererBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), h=st.integers(1, 21), w=st.integers(1, 31),
+           l=st.integers(1, 12), supersample=st.integers(1, 5),
+           base_h=st.one_of(st.none(), st.integers(1, 64)))
+    def test_equals_oracle(self, seed, h, w, l, supersample, base_h):
+        spec = R.random_scene(np.random.default_rng(seed), 24)
+        got = R.render_clip(spec, h, w, l, 10, base_h=base_h, supersample=supersample)
+        want = oracle_render_clip(spec, h, w, l, 10, base_h=base_h, supersample=supersample)
+        assert got.frames.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_box_mean_equals_numpy_mean(self, data):
+        # a numpy change to the reduction order of mean(axis=(1, 3)) fails here
+        h, w, ss = (data.draw(st.integers(1, n)) for n in (9, 9, 5))
+        colors = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 12)), 3),
+                                      elements=st.floats(allow_nan=False,
+                                                         allow_infinity=False)))
+        label = data.draw(hnp.arrays(np.uint8, (h * ss, w * ss),
+                                     elements=st.integers(0, len(colors) - 1)))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge colours sum to inf
+            want = colors[label].reshape(h, ss, w, ss, 3).mean(axis=(1, 3))
+            got = R._box_mean(label, colors, ss)
+        assert got.tobytes() == np.ascontiguousarray(want.transpose(2, 0, 1)).tobytes()
+
+    def test_golden_dataset_digest(self, tmp_path):
+        # sha256 of the renderer's output before its label-map rewrite
+        root = R.generate_dataset(tmp_path / "g", clips=2, frames=16, height=16,
+                                  width=24, fps=10, seed=0)
+        digest = {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+                  for name in ("clip_0000.toyr", "clip_0001.toyr")}
+        assert digest == {
+            "clip_0000.toyr": "93229eb7e8bac804d6b2fef96c3fd7398917e27daaa602b608f52f087cc3f246",
+            "clip_0001.toyr": "9bc3d47b2f4b391de10341f27eb029f986b2c973091b84c8f08afe785eee6e2c",
+        }
+        scaled = R.ClipDataset(root).rendered_at_scale(0, 2)
+        assert scaled.shape == (16, 3, 32, 48)
+        assert hashlib.sha256(scaled.tobytes()).hexdigest() == (
+            "e435e33056b6b7a2ed5e9cdaab7575f7be84ddd9752f8de4dd4b82d44ef40bb1")
 
 
 class TestCaptions:

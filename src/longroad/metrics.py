@@ -11,15 +11,11 @@ convolutional feature network, frozen forever, in place of pretrained
 backbones; every report labels them "-proxy" because absolute values are not
 comparable with published numbers.
 
-Block matching scores every candidate displacement of FLOW_BATCH frame pairs
-in one pass, yet sums each block's SAD in the order numpy's per-pair
-`abs(diff).sum(axis=(0, 2, 4))` uses: each block row pairwise (numpy's
-8-accumulator scheme), then the row sums one after another over (channel,
-row). A frame one block wide sums a block's bs * bs pixels as one run, and a
-single-block frame its C * bs * bs values. The order is kept because flow
-takes the first minimum and flat regions tie exactly, so the last bit of a
-sum decides matches: summing channels first, or integer SADs, flips some of
-them and changes the reports.
+Block matching compares raw pixel values (0..255): uint8 frames as they are,
+float frames read as [0, 1] and rounded to `rint(clip(x, 0, 1) * 255)`. Warp
+error and flow norms stay on the unit-range float frames. A block's SAD is a
+sum of integers below 2**24, so it is exact in any summation order, and ties
+go to the first candidate in (|d|^2, dy, dx) order: toward zero motion.
 """
 
 from __future__ import annotations
@@ -78,40 +74,27 @@ def _to_unit(video: np.ndarray) -> np.ndarray:
 FLOW_BATCH = 8  # frame pairs per flow call; flow memory does not grow with clip length
 
 
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order numpy's pairwise summation adds a
-    contiguous run: below 8 terms one after another; up to 128 terms in 8
-    strided accumulators combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the
-    remaining terms one after another; above 128 terms the two halves (the
-    first a multiple of 8 long), each summed the same way."""
-    n = x.shape[0]
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-    if n < 8:
-        acc = x[0]
-        for k in range(1, n):
-            acc = acc + x[k]
-        return acc
-    acc = x[:8]
-    for k in range(8, n - n % 8, 8):
-        acc = acc + x[k:k + 8]
-    acc = acc[0::2] + acc[1::2]
-    acc = (acc[0] + acc[1]) + (acc[2] + acc[3])
-    for k in range(n - n % 8, n):
-        acc += x[k]
-    return acc
+def _to_pixels(video: np.ndarray) -> np.ndarray:
+    """uint8 pixel values: uint8 input unchanged, float input read as [0, 1]."""
+    video = np.asarray(video)
+    if video.dtype == np.uint8:
+        return video
+    if not np.isfinite(video).all():
+        raise ContractError("float frames must be finite to match flow blocks")
+    return np.rint(np.clip(video, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
 def _block_sads(a: np.ndarray, b: np.ndarray, cfg: MetricConfig):
     """(candidate displacements (K, 2), SADs (K, N, nby, nbx)) of every
     block of every frame of `a` against its frame of `b`; both are
-    (N, C, H, W) float64. Each SAD is a pairwise sum of each run of the
-    block, then the runs one after another, as the module docstring says."""
+    (N, C, H, W) uint8. The float32 SADs are exact integers."""
     n, c, h, w = a.shape
     bs, r = cfg.block, cfg.search_radius
     if h < bs or w < bs:
         raise ConfigError(f"frame ({h}x{w}) smaller than flow block ({bs})")
+    if c * bs * bs * 255 >= 2**24:
+        raise ConfigError(f"flow block {bs} over {c} channels can reach a SAD of 2**24 "
+                          f"or more, beyond exact float32 sums")
     ph, pw = (-h) % bs, (-w) % bs
     if ph or pw:
         a = np.pad(a, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="edge")
@@ -124,33 +107,27 @@ def _block_sads(a: np.ndarray, b: np.ndarray, cfg: MetricConfig):
     # contiguous slab over all blocks
     def by_pixel(x, span):
         win = np.lib.stride_tricks.sliding_window_view(x, (span, span), axis=(2, 3))
-        return win[:, :, ::bs, ::bs].transpose(5, 1, 4, 0, 2, 3).copy()
+        return win[:, :, ::bs, ::bs].transpose(5, 1, 4, 0, 2, 3).astype(np.float32, order="C")
 
     a_px = by_pixel(a, bs)
     b_px = by_pixel(bp, bs + 2 * r)  # b_px[r + dx + j, :, r + dy + i]: shifted by (dy, dx)
     blocks = n * nby * nbx
-    run = bs if nbx > 1 else bs * bs if nby > 1 else c * bs * bs
     # sorted by displacement magnitude so argmin's first-minimum rule breaks
     # SAD ties toward zero motion
     cands = np.array(sorted(((dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1)),
                             key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1])))
-    sads = np.empty((len(cands), blocks))
+    sads = np.empty((len(cands), blocks), dtype=np.float32)
     diff = np.empty_like(a_px)
     for k, (dy, dx) in enumerate(cands.tolist()):
         np.subtract(a_px, b_px[r + dx:r + dx + bs, :, r + dy:r + dy + bs], out=diff)
         np.abs(diff, out=diff)
-        if run == bs:
-            terms = diff.reshape(bs, c * bs, blocks)
-        else:  # runs over (channel, row, column)
-            terms = diff.transpose(1, 2, 0, 3, 4, 5).reshape(-1, run, blocks).transpose(1, 0, 2)
-        # numpy reduces axis 0 of a (runs, blocks) array one run after another
-        np.add.reduce(_pairwise_sum(terms), axis=0, out=sads[k])
+        np.add.reduce(diff.reshape(-1, blocks), axis=0, out=sads[k])
     return cands, sads.reshape(len(cands), n, nby, nbx)
 
 
 def _block_displacements(a: np.ndarray, b: np.ndarray, cfg: MetricConfig):
     """Best (dy, dx) per block of every `a` frame matched in its `b` frame:
-    two (N, nby, nbx) integer arrays. Frames are (N, C, H, W) float64."""
+    two (N, nby, nbx) integer arrays. Frames are (N, C, H, W) uint8."""
     cands, sads = _block_sads(a, b, cfg)
     best = np.argmin(sads, axis=0)
     return cands[best, 0], cands[best, 1]
@@ -165,9 +142,10 @@ def estimate_flow(frame_a: np.ndarray, frame_b: np.ndarray,
     """Per-pixel displacement taking content of `frame_a` to `frame_b`, plus
     an occlusion mask from the forward-backward consistency check. Frames
     are (C, H, W), giving (H, W) fields, or stacks of N pairs (N, C, H, W),
-    giving (N, H, W) fields equal to the N single-pair fields."""
-    a = _to_unit(frame_a)
-    b = _to_unit(frame_b)
+    giving (N, H, W) fields equal to the N single-pair fields. Matching runs
+    on `_to_pixels` of the frames."""
+    a = _to_pixels(frame_a)
+    b = _to_pixels(frame_b)
     if a.shape != b.shape:
         raise ShapeError(f"frame shapes differ: {a.shape} vs {b.shape}")
     if a.ndim not in (3, 4):
@@ -221,8 +199,9 @@ def _pair_metrics(video: np.ndarray, cfg: MetricConfig):
     warps, norms = np.full(n, np.nan), np.empty(n)
     for lo in range(0, n, FLOW_BATCH):
         hi = min(lo + FLOW_BATCH, n)
-        vid = _to_unit(video[lo:hi + 1])
-        flow = estimate_flow(vid[:-1], vid[1:], cfg)
+        clip = video[lo:hi + 1]
+        flow = estimate_flow(clip[:-1], clip[1:], cfg)
+        vid = _to_unit(clip)
         norms[lo:hi] = np.sqrt(flow.u**2 + flow.v**2).mean(axis=(1, 2))
         sq = (vid[:-1] - _warp_backward(vid[1:], flow)) ** 2
         for k, valid in enumerate(~flow.occlusion):

@@ -200,9 +200,10 @@ def _box_mean(label: np.ndarray, colors: np.ndarray, ss: int) -> np.ndarray:
     """Channel-first (3, h, w) mean of `colors[label]` over each ss x ss block
     of the (h * ss, w * ss) label map. The ss * ss samples are added one at a
     time in C order and the sum divided once, which must match
-    `colors[label].reshape(h, ss, w, ss, 3).mean(axis=(1, 3))` bit for bit."""
+    `colors[label].reshape(h, ss, w, ss, 3).mean(axis=(1, 3))` bit for bit;
+    like numpy's reduction, the sum starts from +0.0, so -0.0 colours give +0.0."""
     table = np.ascontiguousarray(colors.T)
-    acc = np.take(table, label[::ss, ::ss], axis=1)
+    acc = 0.0 + np.take(table, label[::ss, ::ss], axis=1)
     for k in range(1, ss * ss):
         acc += np.take(table, label[k // ss::ss, k % ss::ss], axis=1)
     acc /= ss * ss

@@ -57,9 +57,9 @@ class TestFlow:
 
 
 def oracle_sads(a, b, cfg):
-    """The per-pair block matching the batched pass replaced, as reference:
-    (sorted candidates, (K, nby, nbx) SADs) of one (C, H, W) float pair,
-    each SAD summed by numpy over the block's (C, bs, bs) differences."""
+    """Exact per-pair block matching as reference: (sorted candidates,
+    (K, nby, nbx) int64 SADs) of one (C, H, W) uint8 pair."""
+    a, b = a.astype(np.int64), b.astype(np.int64)
     c, h, w = a.shape
     bs, r = cfg.block, cfg.search_radius
     ph = (-h) % bs
@@ -75,11 +75,10 @@ def oracle_sads(a, b, cfg):
         ((dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1)),
         key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]),
     )
-    sads = np.empty((len(cands), nby, nbx))
+    sads = np.empty((len(cands), nby, nbx), dtype=np.int64)
     for i, (dy, dx) in enumerate(cands):
         shifted = bp[:, r + dy:r + dy + hh, r + dx:r + dx + ww]
-        diff = np.abs(a_blocks - shifted.reshape(c, nby, bs, nbx, bs))
-        sads[i] = diff.sum(axis=(0, 2, 4))
+        sads[i] = np.abs(a_blocks - shifted.reshape(c, nby, bs, nbx, bs)).sum(axis=(0, 2, 4))
     return np.asarray(cands), sads
 
 
@@ -118,14 +117,15 @@ class TestBatchedFlow:
     @settings(max_examples=80, deadline=None)
     @given(frame_stacks())
     def test_block_matching_equals_per_pair_oracle(self, case):
+        # every block takes the exact first minimum over integer SADs
         a, b, cfg = case
-        a, b = M._to_unit(a), M._to_unit(b)
+        a, b = M._to_pixels(a), M._to_pixels(b)
         cands, sads = M._block_sads(a, b, cfg)
         dy, dx = M._block_displacements(a, b, cfg)
         for i in range(len(a)):
             want_cands, want_sads = oracle_sads(a[i], b[i], cfg)
             np.testing.assert_array_equal(cands, want_cands)
-            assert sads[:, i].tobytes() == want_sads.tobytes()  # same summation order
+            np.testing.assert_array_equal(sads[:, i], want_sads)
             want_dy, want_dx = oracle_block_displacements(a[i], b[i], cfg)
             np.testing.assert_array_equal(dy[i], want_dy)
             np.testing.assert_array_equal(dx[i], want_dx)
@@ -143,14 +143,56 @@ class TestBatchedFlow:
                 assert got[i].dtype == want.dtype and got[i].tobytes() == want.tobytes()
 
     def test_rendered_clip_matches_oracle(self):
-        # flat road and sky regions give many exact SAD ties; the last bit of
-        # each sum decides them
-        clip = M._to_unit(R.render_clip(R.scene_for_clip(1, 0, 10), 32, 48, 10, 10).frames)
+        # flat road and sky regions give many exact SAD ties
+        clip = R.render_clip(R.scene_for_clip(1, 0, 10), 32, 48, 10, 10).frames
         dy, dx = M._block_displacements(clip[:-1], clip[1:], CFG)
         for i in range(len(clip) - 1):
             want_dy, want_dx = oracle_block_displacements(clip[i], clip[i + 1], CFG)
             np.testing.assert_array_equal(dy[i], want_dy)
             np.testing.assert_array_equal(dx[i], want_dx)
+
+    def test_exact_tie_takes_first_candidate(self):
+        # block (2, 1) of this pair ties at SAD 445 between (2, -1) and
+        # (3, -1); float sums of x / 255 used to pick the later one
+        clip = R.render_clip(R.scene_for_clip(1, 0, 120), 32, 48, 120, 10).frames
+        cfg = M.MetricConfig()
+        cands, sads = M._block_sads(clip[35:36], clip[36:37], cfg)
+        ties = cands[sads[:, 0, 2, 1] == 445]
+        np.testing.assert_array_equal(ties, [[2, -1], [3, -1]])
+        assert sads[:, 0, 2, 1].min() == 445
+        flow = M.estimate_flow(clip[35], clip[36], cfg)
+        assert (flow.v[16, 8], flow.u[16, 8]) == (2.0, -1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(frame_stacks(), st.integers(0, 2**32 - 1))
+    def test_float_frames_match_their_pixel_rounding(self, case, seed):
+        # float frames are read as [0, 1]: clipped, scaled by 255, rounded
+        frames, _, cfg = case
+        rng = np.random.default_rng(seed)
+        a, b = (rng.uniform(-0.2, 1.2, frames.shape) for _ in range(2))
+        got = M.estimate_flow(a, b, cfg)
+        px = [np.rint(np.clip(x, 0, 1) * 255).astype(np.uint8) for x in (a, b)]
+        want = M.estimate_flow(*px, cfg)
+        for g, w in ((got.u, want.u), (got.v, want.v), (got.occlusion, want.occlusion)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_to_pixels_rule(self):
+        x = np.array([-0.5, 0.0, 0.5 / 255, 1.5 / 255, 0.5, 1.0, 2.0])
+        np.testing.assert_array_equal(M._to_pixels(x), [0, 0, 0, 2, 128, 255, 255])
+        u8 = np.arange(256, dtype=np.uint8)
+        assert M._to_pixels(u8) is u8
+        with pytest.raises(ContractError):
+            M._to_pixels(np.array([0.5, np.nan]))
+
+    def test_largest_exact_block(self):
+        # 3 * 148**2 * 255 < 2**24 <= 3 * 149**2 * 255: larger SADs would
+        # not be exact float32 integers
+        f = np.full((1, 3, 148, 148), 255, dtype=np.uint8)
+        _, sads = M._block_sads(f, np.zeros_like(f), M.MetricConfig(search_radius=0, block=148))
+        assert sads.item() == 3 * 148 * 148 * 255
+        f = np.zeros((3, 149, 149), dtype=np.uint8)
+        with pytest.raises(ConfigError, match="block 149 over 3 channels"):
+            M.estimate_flow(f, f, M.MetricConfig(search_radius=0, block=149))
 
     def test_rejects_other_ranks(self):
         with pytest.raises(ShapeError):

@@ -268,11 +268,21 @@ def cmd_eval(args) -> int:
     mcfg = cfgmod.metric_config(cfg, args.window)
     gen = _clip_paths(args.gen)
     ref = _clip_paths(args.ref)
+    # the feature net is seeded by the channel count: one count for every clip
+    channels = int(R.read_clip(gen[0]).frames.shape[1])
+
+    def clip_frames(path):
+        frames = R.read_clip(path).frames
+        if frames.shape[1] != channels:
+            raise DataError(f"clip {path} has {frames.shape[1]} channels, but the first "
+                            f"generated clip {gen[0]} has {channels}: their features "
+                            f"would come from different nets")
+        return frames
 
     # one clip in memory at a time; only its features are kept
     ref_frame_feats, ref_stack_feats = [], []
     for path in ref:
-        f, s = M.video_features(R.read_clip(path).frames, mcfg.feature_seed)
+        f, s = M.video_features(clip_frames(path), mcfg.feature_seed)
         ref_frame_feats.append(f)
         if s.shape[0]:
             ref_stack_feats.append(s)
@@ -282,11 +292,8 @@ def cmd_eval(args) -> int:
 
     per_clip: dict[str, dict] = {}
     gen_frame_feats, gen_stack_feats = [], []
-    channels = None  # of the first clip, for the extractor checksum
     for path in gen:
-        vid = R.read_clip(path).frames
-        if channels is None:
-            channels = int(vid.shape[1])
+        vid = clip_frames(path)
         values, f, s = M.clip_metrics(vid, mcfg, requested, ref_frames, ref_stacks)
         per_clip[path.name] = {"frames": int(vid.shape[0]), **values}
         gen_frame_feats.append(f)

@@ -9,7 +9,10 @@ fixed coefficient, so it rewards videos that are both consistent and rich in
 motion. Distribution distances (FID/FVD proxies) use a fixed-seed random
 convolutional feature network, frozen forever, in place of pretrained
 backbones; every report labels them "-proxy" because absolute values are not
-comparable with published numbers.
+comparable with published numbers. A feature set's Gaussian fit is kept as its
+mean and a covariance root R (covariance R.T @ R, R at most D x D), and the
+Frechet distance takes tr (S_a S_b)^{1/2} as the nuclear norm of R_a R_b.T,
+with no eigendecomposition.
 
 Block matching compares raw pixel values (0..255): uint8 frames as they are,
 float frames read as [0, 1] and rounded to `rint(clip(x, 0, 1) * 255)`. Warp
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -58,14 +61,26 @@ class FlowField:
 
 @dataclass(frozen=True)
 class FeatureStats:
+    """Mean and covariance root of a Gaussian fit: the covariance is
+    root.T @ root. `feature_stats` builds one from samples; FeatureStats(mu,
+    sigma) takes a PSD covariance and keeps its symmetric square root."""
     mu: np.ndarray
-    sigma: np.ndarray
+    sigma: InitVar[np.ndarray | None] = None
+    root: np.ndarray | None = None
+
+    def __post_init__(self, sigma):
+        if (sigma is None) == (self.root is None):
+            raise ContractError("FeatureStats needs exactly one of sigma and root")
+        if sigma is not None:
+            object.__setattr__(self, "root", _psd_sqrt(np.atleast_2d(sigma)))
 
 
 def _to_unit(video: np.ndarray) -> np.ndarray:
     video = np.asarray(video)
     if video.dtype == np.uint8:
         return video.astype(np.float64) / 255.0
+    if not np.isfinite(video).all():
+        raise ContractError("float frames must be finite")
     return video.astype(np.float64)
 
 
@@ -250,9 +265,9 @@ FEATURE_BATCH = 16  # frames of input per frame-net call, at least
 STACK_BATCH = 2  # stacks per stack-net call, at least: one stack alone runs at half speed
 
 
-def _conv_s2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 stride-2 convolution with zero padding of 1, float64."""
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="constant")
+def _conv_s2(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3x3 stride-2 convolution, float64, of input that already carries its
+    zero padding of 1."""
     windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
     windows = windows[:, :, ::2, ::2]  # stride 2
     out = np.einsum("bchwij,ocij->bohw", windows, w, optimize=True)
@@ -299,14 +314,22 @@ class VideoFeatureNet:
 
     @staticmethod
     def _gradients(x: np.ndarray) -> np.ndarray:
-        gy = np.diff(x, axis=2, append=x[:, :, -1:, :])
-        gx = np.diff(x, axis=3, append=x[:, :, :, -1:])
-        return np.concatenate([gy, gx], axis=1)
+        """Forward differences of (N, C, H, W) frames, vertical planes then
+        horizontal, zero in the last row or column, inside the zero border
+        layer 1 convolves: (N, 2C, H + 2, W + 2)."""
+        n, c, h, w = x.shape
+        g = np.zeros((n, 2 * c, h + 2, w + 2))
+        np.subtract(x[:, :, 1:], x[:, :, :-1], out=g[:, :c, 1:h, 1:w + 1])
+        np.subtract(x[..., 1:], x[..., :-1], out=g[:, c:, 1:h + 1, 1:w])
+        return g
 
     def _stats(self, g: np.ndarray) -> np.ndarray:
+        """Per-layer channel mean and std of padded `_gradients` output."""
         stats = []
         x = g
         for i, (w, b) in enumerate(self.weights):
+            if i:
+                x = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="constant")
             x = _conv_s2(x, w, b)
             if i < len(self.weights) - 1:
                 x = np.maximum(x, 0.0)
@@ -323,26 +346,27 @@ class VideoFeatureNet:
         picks its kernels by GEMM width, and these two rules keep the stats
         bit-equal to one call on the whole batch at the sizes
         tests/test_metrics.py checks, 32x48 among them (elsewhere within one
-        rounding). The stacked stats are made Fortran-ordered, the layout one
-        `_stats` call gives for N >= 2, because the norm below and the
-        callers' reductions sum in an order that follows the layout."""
+        rounding). The features are built in one array, Fortran-ordered for
+        N >= 2 as one `_stats` call gives them, because the norm below and
+        the callers' reductions sum in an order that follows the layout."""
         batch = np.asarray(batch)
         hw = (batch.shape[2], batch.shape[3])
         if hw not in self._anchors:
-            zero = np.zeros((1, 2 * self.channels) + hw)
+            zero = np.zeros((1, 2 * self.channels, hw[0] + 2, hw[1] + 2))
             self._anchors[hw] = self._stats(zero)[0]
-        if batch.shape[0] == 0:
-            return np.empty((0, self._anchors[hw].shape[0] + 1))
-        n, rows = batch.shape[0], self._aligned_rows(rows, hw)
+        anchor = self._anchors[hw]
+        n, d = batch.shape[0], anchor.shape[0]
+        feats = np.empty((n, d + 1), order="F" if n > 1 else "C")
+        if n == 0:
+            return feats
+        rows = self._aligned_rows(rows, hw)
         starts = list(range(0, max(n - rows, 0) + 1, rows))  # the last takes the remainder
-        stats = np.asfortranarray(np.concatenate([
-            self._stats(self._gradients(_to_unit(batch[lo:hi])))
-            for lo, hi in zip(starts, starts[1:] + [n])]))
-        feats = stats - self._anchors[hw][None, :]
-        hom = np.full((feats.shape[0], 1), self.HOMOGENEOUS)
-        feats = np.concatenate([feats, hom], axis=1)
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            feats[lo:hi, :d] = self._stats(self._gradients(_to_unit(batch[lo:hi])))
+        np.subtract(feats[:, :d], anchor, out=feats[:, :d])
+        feats[:, d] = self.HOMOGENEOUS
         norms = np.linalg.norm(feats, axis=1, keepdims=True)
-        return feats / np.maximum(norms, 1e-12)
+        return np.divide(feats, np.maximum(norms, 1e-12), out=feats)
 
     def checksum(self) -> str:
         crc = 0
@@ -405,15 +429,18 @@ def background_consistency(video: np.ndarray, cfg: MetricConfig) -> float:
 
 
 def feature_stats(feats: np.ndarray) -> FeatureStats:
+    """Mean and covariance root of (N, D) samples: the centred samples over
+    sqrt(N - 1), reduced to their (D, D) R factor when N > D (the same
+    covariance R.T @ R). One sample gives a zero covariance."""
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ContractError(f"need an (N, D) feature matrix, got {feats.shape}")
+    n, d = feats.shape
     mu = feats.mean(axis=0)
-    if feats.shape[0] == 1:
-        sigma = np.zeros((feats.shape[1], feats.shape[1]))
-    else:
-        sigma = np.cov(feats, rowvar=False)
-    return FeatureStats(mu=mu, sigma=np.atleast_2d(sigma))
+    root = (feats - mu) / math.sqrt(max(n - 1, 1))
+    if n > d:
+        root = np.linalg.qr(root, mode="r")
+    return FeatureStats(mu=mu, root=root)
 
 
 def _psd_sqrt(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -426,13 +453,14 @@ def _psd_sqrt(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 def frechet_distance(a: FeatureStats, b: FeatureStats) -> float:
     """Squared Frechet distance between the two Gaussian fits:
-    |mu_a - mu_b|^2 + tr(S_a + S_b - 2 (S_a S_b)^{1/2})."""
+    |mu_a - mu_b|^2 + tr(S_a + S_b - 2 (S_a S_b)^{1/2}). With S = R.T @ R,
+    tr S is |R|_F^2, and tr (S_a S_b)^{1/2} is the sum of the singular values
+    of R_a R_b.T, whose squares are the nonzero eigenvalues of S_a S_b."""
     if a.mu.shape != b.mu.shape:
         raise ShapeError(f"feature dims differ: {a.mu.shape} vs {b.mu.shape}")
     diff = float(np.sum((a.mu - b.mu) ** 2))
-    sa_half = _psd_sqrt(a.sigma)
-    inner = _psd_sqrt(sa_half @ b.sigma @ sa_half)
-    trace_term = float(np.trace(a.sigma) + np.trace(b.sigma) - 2.0 * np.trace(inner))
+    cross = np.linalg.svd(a.root @ b.root.T, compute_uv=False).sum()
+    trace_term = float(np.sum(a.root**2) + np.sum(b.root**2) - 2.0 * cross)
     return max(diff + trace_term, 0.0)
 
 

@@ -365,6 +365,26 @@ class TestEval:
                     assert val is not None and np.isfinite(val)
         assert "clip_0001.toyr,90,mawe," not in csv.read_text()
 
+    @pytest.mark.parametrize("gen_channels, named", [((3, 1), "ref/r.toyr"),
+                                                     ((1, 3), "gen/b.toyr")])
+    def test_mixed_channel_counts_exit_two(self, tmp_path, capsys, gen_channels, named):
+        # the feature net is seeded by the channel count, so features of
+        # clips with different counts come from different nets
+        rng = np.random.default_rng(0)
+        for path, c in [("gen/a.toyr", gen_channels[0]), ("gen/b.toyr", gen_channels[1]),
+                        ("ref/r.toyr", 1)]:
+            (tmp_path / path).parent.mkdir(exist_ok=True)
+            frames = rng.integers(0, 256, (16, c, 16, 24)).astype(np.uint8)
+            R.write_clip(R.ClipRecord(frames=frames, fps=10, caption="noise",
+                                      commands=np.zeros(16, np.uint8)), tmp_path / path)
+        out = tmp_path / "r.json"
+        rc = main(["eval", "--gen", str(tmp_path / "gen"), "--ref", str(tmp_path / "ref"),
+                   "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / named) in err and "channels" in err
+        assert not out.exists()
+
     def test_one_flow_call_per_frame_pair(self, tmp_path, monkeypatch):
         data = datagen(tmp_path, frames=24)
         cfg = write_config(tmp_path)

@@ -298,13 +298,21 @@ class TestFeatures:
 EXTRACTOR_CHECKSUM = "70030908-e7df101e"
 
 
+def oracle_gradients(x):
+    """The gradient planes before they were written into a padded buffer, as
+    reference: np.diff, concatenate, then layer 1's zero padding."""
+    gy = np.diff(x, axis=2, append=x[:, :, -1:, :])
+    gx = np.diff(x, axis=3, append=x[:, :, :, -1:])
+    g = np.concatenate([gy, gx], axis=1)
+    return np.pad(g, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="constant")
+
+
 def oracle_features(net, batch):
     """The one-shot feature net the batched call replaced, as reference: the
-    whole (N, C, H, W) batch through `_gradients` and `_stats` at once."""
+    whole (N, C, H, W) batch through `oracle_gradients` and `_stats` at once."""
     x = M._to_unit(batch)
-    hw = (x.shape[2], x.shape[3])
-    zero = np.zeros((1, 2 * net.channels) + hw)
-    feats = net._stats(net._gradients(x)) - net._stats(zero)[0][None, :]
+    zero = np.zeros((1, 2 * net.channels, x.shape[2] + 2, x.shape[3] + 2))
+    feats = net._stats(oracle_gradients(x)) - net._stats(zero)[0][None, :]
     hom = np.full((feats.shape[0], 1), net.HOMOGENEOUS)
     feats = np.concatenate([feats, hom], axis=1)
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
@@ -379,6 +387,41 @@ class TestBatchedFeatures:
         assert peak(480) - peak(48) < 4 * 432 * 225 * 8
 
 
+@st.composite
+def gradient_batches(draw):
+    """(net, batch): 1-5 frames or 16-frame stacks at odd H and W, uint8 or
+    unit-range float."""
+    c = draw(st.sampled_from([1, 3]))
+    if draw(st.booleans()):
+        c *= M.STACK_LEN
+    shape = (draw(st.integers(1, 5)), c, draw(st.integers(0, 20)) * 2 + 1,
+             draw(st.integers(0, 20)) * 2 + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return M._net(c, 42), rng.integers(0, 256, shape).astype(np.uint8)
+    return M._net(c, 42), rng.random(shape)
+
+
+class TestPaddedGradients:
+    @settings(max_examples=40, deadline=None)
+    @given(gradient_batches())
+    def test_equal_diff_concatenate_pad(self, case):
+        net, batch = case
+        x = M._to_unit(batch)
+        assert net._gradients(x).tobytes() == oracle_gradients(x).tobytes()
+        # one net call on the whole batch, as the oracle makes it
+        got, want = net(batch, rows=len(batch)), oracle_features(net, batch)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_frames_rejected(self, bad):
+        video = np.full((2, 3, 9, 11), 0.5)
+        video[1, 2, 8, 10] = bad
+        with pytest.raises(ContractError, match="finite"):
+            M.video_features(video, 42)
+
+
 class TestBackgroundConsistency:
     def test_constant_video(self):
         vid = np.repeat(textured_master(32, 48, seed=8)[None], 5, axis=0)
@@ -433,6 +476,86 @@ class TestFrechet:
         b = M.FeatureStats(mu=np.zeros(3), sigma=np.eye(3))
         with pytest.raises(ShapeError):
             M.frechet_distance(a, b)
+
+
+def mp_frechet(fa, fb):
+    """Squared Frechet distance of two sample sets' Gaussian fits at 50
+    digits: tr (S_a S_b)^{1/2} from the eigenvalues of X S_b X.T, for X any
+    root of S_a (X.T X = S_a), here the centred samples of `fa` when they are
+    fewer than D and the symmetric square root of S_a otherwise."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 50
+
+    def centred(f):
+        x = mp.matrix(f.tolist())
+        mu = [mp.fsum(x[i, j] for i in range(x.rows)) / x.rows for j in range(x.cols)]
+        return mu, mp.matrix([[x[i, j] - mu[j] for j in range(x.cols)] for i in range(x.rows)])
+
+    (mu_a, xa), (mu_b, xb) = centred(fa), centred(fb)
+    s_a, s_b = xa.T * xa / (xa.rows - 1), xb.T * xb / (xb.rows - 1)
+    if xa.rows <= xa.cols:
+        root = xa / mp.sqrt(xa.rows - 1)
+    else:
+        vals, vecs = mp.eigsy(s_a)
+        root = vecs * mp.diag([mp.sqrt(max(v, 0)) for v in vals]) * vecs.T
+    vals, _ = mp.eigsy(root * s_b * root.T)
+    d = len(mu_a)
+    return (mp.fsum((mu_a[j] - mu_b[j]) ** 2 for j in range(d))
+            + mp.fsum(s_a[j, j] + s_b[j, j] for j in range(d))
+            - 2 * mp.fsum(mp.sqrt(max(v, 0)) for v in vals))
+
+
+class TestCovarianceRoots:
+    @pytest.mark.parametrize("n_a, n_b, d", [(8, 60, 40), (60, 50, 8)])
+    def test_equals_fifty_digit_oracle(self, n_a, n_b, d):
+        # the first pair is rank-deficient on both sides (7 and 39 of 40)
+        rng = np.random.default_rng(17)
+        fa, fb = rng.normal(size=(n_a, d)), rng.normal(0.3, 1.2, size=(n_b, d))
+        want = mp_frechet(fa, fb)
+        got = M.frechet_distance(M.feature_stats(fa), M.feature_stats(fb))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_root_is_at_most_d_by_d(self):
+        rng = np.random.default_rng(18)
+        assert M.feature_stats(rng.normal(size=(7, 5))).root.shape == (5, 5)
+        assert M.feature_stats(rng.normal(size=(4, 5))).root.shape == (4, 5)
+
+    def test_single_sample(self):
+        f = np.random.default_rng(19).normal(size=(1, 6))
+        s = M.feature_stats(f)
+        assert np.all(s.mu == f[0]) and not s.root.any()
+        other = M.feature_stats(np.random.default_rng(20).normal(size=(9, 6)))
+        # a point mass against a Gaussian: |mu_a - mu_b|^2 + tr S_b
+        want = np.sum((f[0] - other.mu) ** 2) + np.trace(other.root.T @ other.root)
+        assert M.frechet_distance(s, other) == pytest.approx(want, rel=1e-12)
+        assert M.frechet_distance(s, s) == 0.0
+
+    def test_sigma_becomes_its_symmetric_root(self):
+        rng = np.random.default_rng(21)
+        f = rng.normal(size=(30, 4))
+        sigma = np.cov(f, rowvar=False)
+        s = M.FeatureStats(mu=f.mean(axis=0), sigma=sigma)
+        np.testing.assert_allclose(s.root, s.root.T, atol=1e-15)
+        np.testing.assert_allclose(s.root.T @ s.root, sigma, atol=1e-14)
+        assert M.frechet_distance(s, M.feature_stats(f)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_non_psd_sigma_rejected(self):
+        with pytest.raises(ContractError, match="eigenvalue"):
+            M.FeatureStats(mu=np.zeros(2), sigma=np.array([[1.0, 0.0], [0.0, -0.5]]))
+
+    @pytest.mark.parametrize("kwargs", [{}, {"sigma": np.eye(2), "root": np.eye(2)}])
+    def test_exactly_one_of_sigma_and_root(self, kwargs):
+        with pytest.raises(ContractError, match="exactly one"):
+            M.FeatureStats(mu=np.zeros(2), **kwargs)
+
+    def test_sample_stats_run_no_eigh(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        rng = np.random.default_rng(22)
+        a, b = M.feature_stats(rng.normal(size=(40, 12))), M.feature_stats(rng.normal(size=(8, 12)))
+        assert M.frechet_distance(a, b) > 0
 
 
 class TestWindowedCurves:

@@ -16,9 +16,9 @@ with no eigendecomposition.
 
 Block matching compares raw pixel values (0..255): uint8 frames as they are,
 float frames read as [0, 1] and rounded to `rint(clip(x, 0, 1) * 255)`. Warp
-error and flow norms stay on the unit-range float frames. A block's SAD is a
-sum of integers below 2**24, so it is exact in any summation order, and ties
-go to the first candidate in (|d|^2, dy, dx) order: toward zero motion.
+error and flow norms stay on the unit-range float frames. A block's SAD is an
+exact integer below 2**24 (uint8 differences summed in uint16 or uint32), and
+ties go to the first candidate in (|d|^2, dy, dx) order: toward zero motion.
 """
 
 from __future__ import annotations
@@ -86,7 +86,9 @@ def _to_unit(video: np.ndarray) -> np.ndarray:
 
 # -- block-matching flow ---------------------------------------------------------
 
-FLOW_BATCH = 8  # frame pairs per flow call; flow memory does not grow with clip length
+# blocks per flow call, summed over its frame pairs (32 pairs at 32x48, block
+# 8): one call's memory grows with neither clip length nor frame size
+FLOW_BLOCKS = 768
 
 
 def _to_pixels(video: np.ndarray) -> np.ndarray:
@@ -102,7 +104,8 @@ def _to_pixels(video: np.ndarray) -> np.ndarray:
 def _block_sads(a: np.ndarray, b: np.ndarray, cfg: MetricConfig):
     """(candidate displacements (K, 2), SADs (K, N, nby, nbx)) of every
     block of every frame of `a` against its frame of `b`; both are
-    (N, C, H, W) uint8. The float32 SADs are exact integers."""
+    (N, C, H, W) uint8. The SADs are exact integers below 2**24, summed in
+    uint16 when every one fits (C * bs^2 * 255 < 2**16), else in uint32."""
     n, c, h, w = a.shape
     bs, r = cfg.block, cfg.search_radius
     if h < bs or w < bs:
@@ -110,6 +113,7 @@ def _block_sads(a: np.ndarray, b: np.ndarray, cfg: MetricConfig):
     if c * bs * bs * 255 >= 2**24:
         raise ConfigError(f"flow block {bs} over {c} channels can reach a SAD of 2**24 "
                           f"or more, beyond exact float32 sums")
+    acc = np.uint16 if c * bs * bs * 255 < 2**16 else np.uint32
     ph, pw = (-h) % bs, (-w) % bs
     if ph or pw:
         a = np.pad(a, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="edge")
@@ -122,7 +126,7 @@ def _block_sads(a: np.ndarray, b: np.ndarray, cfg: MetricConfig):
     # contiguous slab over all blocks
     def by_pixel(x, span):
         win = np.lib.stride_tricks.sliding_window_view(x, (span, span), axis=(2, 3))
-        return win[:, :, ::bs, ::bs].transpose(5, 1, 4, 0, 2, 3).astype(np.float32, order="C")
+        return win[:, :, ::bs, ::bs].transpose(5, 1, 4, 0, 2, 3).copy(order="C")
 
     a_px = by_pixel(a, bs)
     b_px = by_pixel(bp, bs + 2 * r)  # b_px[r + dx + j, :, r + dy + i]: shifted by (dy, dx)
@@ -131,12 +135,14 @@ def _block_sads(a: np.ndarray, b: np.ndarray, cfg: MetricConfig):
     # SAD ties toward zero motion
     cands = np.array(sorted(((dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1)),
                             key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1])))
-    sads = np.empty((len(cands), blocks), dtype=np.float32)
-    diff = np.empty_like(a_px)
+    sads = np.empty((len(cands), blocks), dtype=acc)
+    hi, lo = np.empty_like(a_px), np.empty_like(a_px)
     for k, (dy, dx) in enumerate(cands.tolist()):
-        np.subtract(a_px, b_px[r + dx:r + dx + bs, :, r + dy:r + dy + bs], out=diff)
-        np.abs(diff, out=diff)
-        np.add.reduce(diff.reshape(-1, blocks), axis=0, out=sads[k])
+        shifted = b_px[r + dx:r + dx + bs, :, r + dy:r + dy + bs]
+        np.maximum(a_px, shifted, out=hi)  # |a - b| in uint8: max - min
+        np.minimum(a_px, shifted, out=lo)
+        np.subtract(hi, lo, out=hi)
+        np.add.reduce(hi.reshape(-1, blocks), axis=0, dtype=acc, out=sads[k])
     return cands, sads.reshape(len(cands), n, nby, nbx)
 
 
@@ -206,14 +212,18 @@ def _warp_backward(frames_b: np.ndarray, flow: FlowField) -> np.ndarray:
 def _pair_metrics(video: np.ndarray, cfg: MetricConfig):
     """(per-pair warp RMS, per-pair mean flow norm) arrays over consecutive
     pairs; the warp RMS is NaN where a pair is fully occluded. Flow runs on
-    FLOW_BATCH pairs at a time."""
+    as many pairs at a time as fit FLOW_BLOCKS blocks, and at least one."""
     video = np.asarray(video)
+    if video.ndim != 4:
+        raise ShapeError(f"need an (N, C, H, W) video, got {video.shape}")
     if video.shape[0] < 2:
         raise ContractError(f"need at least 2 frames, got {video.shape[0]}")
     n = video.shape[0] - 1
+    blocks_per_pair = -(-video.shape[-2] // cfg.block) * -(-video.shape[-1] // cfg.block)
+    batch = max(1, FLOW_BLOCKS // blocks_per_pair)
     warps, norms = np.full(n, np.nan), np.empty(n)
-    for lo in range(0, n, FLOW_BATCH):
-        hi = min(lo + FLOW_BATCH, n)
+    for lo in range(0, n, batch):
+        hi = min(lo + batch, n)
         clip = video[lo:hi + 1]
         flow = estimate_flow(clip[:-1], clip[1:], cfg)
         vid = _to_unit(clip)

@@ -198,6 +198,90 @@ class TestBatchedFlow:
         with pytest.raises(ShapeError):
             M.estimate_flow(np.zeros((32, 48)), np.zeros((32, 48)), CFG)
 
+    @pytest.mark.parametrize("channels, block", [(1, 16), (1, 17), (3, 9), (3, 10)])
+    def test_sads_at_accumulator_bound(self, channels, block):
+        # C * block^2 * 255: 65,280 and 61,965 fit 16 bits, 73,695 and
+        # 76,500 do not; every candidate of every block reaches the bound
+        a = np.full((2, channels, 2 * block, 2 * block), 255, dtype=np.uint8)
+        b = np.zeros_like(a)
+        cfg = M.MetricConfig(search_radius=1, block=block)
+        _, sads = M._block_sads(a, b, cfg)
+        bound = channels * block * block * 255
+        assert sads.shape == (9, 2, 2, 2)
+        assert (sads == bound).all() and (sads.astype(np.float32) == bound).all()
+        for i in range(len(a)):
+            np.testing.assert_array_equal(sads[:, i], oracle_sads(a[i], b[i], cfg)[1])
+
+
+def rendered_video(frames, h=32, w=48):
+    return R.render_clip(R.scene_for_clip(1, 0, frames), h, w, frames, 10).frames
+
+
+def per_pair_metrics(video, cfg):
+    """Reference for `_pair_metrics`: flow, warp RMS and mean flow norm of
+    one pair at a time."""
+    vid = M._to_unit(video)
+    warps, norms = [], []
+    for i in range(len(video) - 1):
+        flow = M.estimate_flow(video[i], video[i + 1], cfg)
+        norms.append(np.sqrt(flow.u**2 + flow.v**2).mean())
+        one = M.FlowField(u=flow.u[None], v=flow.v[None], occlusion=flow.occlusion[None])
+        sq = (vid[i] - M._warp_backward(vid[i + 1][None], one)[0]) ** 2
+        valid = ~flow.occlusion
+        warps.append(np.sqrt(sq[:, valid].mean()) if valid.any() else np.nan)
+    return np.array(warps), np.array(norms)
+
+
+class TestPairMetricsBatches:
+    @pytest.mark.parametrize("h, w", [(32, 48), (36, 52), (224, 232)])
+    def test_batches_equal_per_pair_flow(self, h, w, monkeypatch):
+        # as many pairs per flow call as fit FLOW_BLOCKS blocks, at least
+        # one; two full calls and a remainder of 3 pairs
+        per_call = max(1, M.FLOW_BLOCKS // (-(-h // 8) * -(-w // 8)))
+        pairs = 2 * per_call + 3
+        video = rendered_video(pairs + 1, h, w)
+        calls = []
+        flow = M.estimate_flow
+        monkeypatch.setattr(M, "estimate_flow",
+                            lambda a, *r, **k: calls.append(len(a)) or flow(a, *r, **k))
+        warps, norms = M._pair_metrics(video, CFG)
+        monkeypatch.undo()
+        full, rest = divmod(pairs, per_call)
+        assert calls == [per_call] * full + ([rest] if rest else [])
+        want_warps, want_norms = per_pair_metrics(video, CFG)
+        assert warps.tobytes() == want_warps.tobytes()
+        assert norms.tobytes() == want_norms.tobytes()
+
+    @staticmethod
+    def flow_peak(video):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            M._pair_metrics(video, CFG)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_flat_in_clip_length(self):
+        # the growth is the two (pairs,) float64 outputs and the tuples that
+        # Python keeps on its free lists, which tracemalloc counts: about
+        # 30 KB here; one flow call over all 641 pairs would take over 100 MB
+        per_call = M.FLOW_BLOCKS // 24
+        short, long = (rendered_video(k * per_call + 2) for k in (2, 20))
+        assert self.flow_peak(long) - self.flow_peak(short) < 256 * 1024
+
+    def test_peak_memory_flat_in_frame_size(self):
+        # 16 times the pixels, 16 times fewer pairs per call; a fixed number
+        # of pairs per call would take 16 times the memory
+        small = self.flow_peak(rendered_video(3 * (M.FLOW_BLOCKS // 24) + 1))
+        large = self.flow_peak(rendered_video(3 * (M.FLOW_BLOCKS // 384) + 1, 128, 192))
+        assert large < 1.5 * small
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ShapeError):
+            M._pair_metrics(np.zeros((4, 32, 48)), CFG)
+
 
 class TestWarpError:
     def test_static_video_zero(self):

@@ -177,25 +177,24 @@ class Mlp(Module):
         self.fc2 = Linear(rng, hidden * ratio, hidden, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(T.gelu(self.fc1(x)))
+        return T.mlp(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
 
 
-class TimestepEmbedder(Module):
+class TimestepEmbedder(Mlp):
     """Per-frame modulation vector from the diffusion timestep plus the
-    fps/height/width scalar embeddings. Timestep 0 (memory) is just another
-    grid point, distinct from every t >= 1."""
+    fps/height/width scalar embeddings, through a width-preserving MLP.
+    Timestep 0 (memory) is just another grid point, distinct from every
+    t >= 1."""
 
     def __init__(self, rng, hidden: int, dtype):
+        super().__init__(rng, hidden, 1, dtype)
         self.hidden = hidden
         self.dtype = dtype
-        self.fc1 = Linear(rng, hidden, hidden, dtype)
-        self.fc2 = Linear(rng, hidden, hidden, dtype)
 
     def __call__(self, t: np.ndarray, scalars: tuple[float, float, float]) -> Tensor:
         base = sinusoidal_embedding(np.asarray(t, dtype=np.float64), self.hidden)
         extra = sinusoidal_embedding(np.asarray(scalars, dtype=np.float64), self.hidden).sum(axis=0)
-        x = Tensor((base + extra[None, :]).astype(self.dtype))
-        return self.fc2(T.gelu(self.fc1(x)))
+        return super().__call__(Tensor((base + extra[None, :]).astype(self.dtype)))
 
 
 class SpaceTimeBlock(Module):
@@ -221,24 +220,24 @@ class SpaceTimeBlock(Module):
     def spatial_step(self, x: Tensor, mods: list[Tensor]) -> Tensor:
         shift, scale, gate = mods[0], mods[1], mods[2]
         h = self._mod_norm(x, shift, scale)
-        return T.add(x, T.mul(gate, self.spatial_attn(h, h)))
+        return T.gated_residual(x, gate, self.spatial_attn(h, h))
 
     def temporal_step(self, x: Tensor, mods: list[Tensor], rope) -> Tensor:
         shift, scale, gate = mods[3], mods[4], mods[5]
         h = self._mod_norm(x, shift, scale)
         ht = T.transpose(h, (1, 0, 2))               # (S, L, hidden)
         out = T.transpose(self.temporal_attn(ht, ht, rope), (1, 0, 2))
-        return T.add(x, T.mul(gate, out))
+        return T.gated_residual(x, gate, out)
 
     def cross_step(self, x: Tensor, mods: list[Tensor], cond_kv: Tensor) -> Tensor:
         shift, scale, gate = mods[6], mods[7], mods[8]
         h = self._mod_norm(x, shift, scale)
-        return T.add(x, T.mul(gate, self.cross_attn(h, cond_kv)))
+        return T.gated_residual(x, gate, self.cross_attn(h, cond_kv))
 
     def mlp_step(self, x: Tensor, mods: list[Tensor]) -> Tensor:
         shift, scale, gate = mods[9], mods[10], mods[11]
         h = self._mod_norm(x, shift, scale)
-        return T.add(x, T.mul(gate, self.mlp(h)))
+        return T.gated_residual(x, gate, self.mlp(h))
 
     def __call__(self, x: Tensor, c_mod: Tensor, cond_kv: Tensor, rope) -> Tensor:
         mods = self._chunks(c_mod)

@@ -7,6 +7,7 @@ tensor: name length u16 + UTF-8 name, rank u8, dims u32 each, dtype code u8
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -19,6 +20,8 @@ MAGIC = b"IDCK"
 VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_MAX_RANK = 64  # numpy's array rank limit
+_MAX_BYTES = np.iinfo(np.intp).max
 
 
 def save_tensors(path, tensors: dict[str, Tensor | np.ndarray]) -> None:
@@ -77,13 +80,20 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             raise FormatError("tensor name is not valid UTF-8",
                               offset=r.pos - name_len + e.start)
         (rank,) = r.unpack("<B", "rank")
+        if rank > _MAX_RANK:
+            raise FormatError(f"tensor rank {rank} exceeds {_MAX_RANK}", offset=r.pos - 1)
+        dims_at = r.pos
         dims = tuple(r.unpack(f"<{rank}I", "dims")) if rank else ()
         (code,) = r.unpack("<B", "dtype code")
         if code not in _DTYPE_CODES:
             raise FormatError(f"unknown dtype code {code}", offset=r.pos - 1)
         dt = _DTYPE_CODES[code]
-        n = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        n = math.prod(dims)  # Python ints: a crafted header cannot wrap around
         raw = r.take(n * dt.itemsize, f"tensor {name!r} payload")
+        if math.prod(d for d in dims if d) * dt.itemsize > _MAX_BYTES:
+            # empty, yet numpy refuses a shape whose nonzero dims overflow
+            raise FormatError(f"tensor {name!r} dims {dims} exceed the largest array",
+                              offset=dims_at)
         out[name] = np.frombuffer(raw, dtype=dt).reshape(dims).copy()
     return out
 

@@ -17,7 +17,7 @@ import numpy as np
 from .backbone import ConditionSet, RopePlan
 from .diffusion import FramePartition
 from .errors import ConfigError, DataError
-from .toyroad import ClipDataset, encode_caption
+from .toyroad import ClipDataset, encode_caption, to_model_space
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,10 @@ def next_batch(phase: CurriculumPhase, dataset: ClipDataset, rng: np.random.Gene
     clip_index = int(rng.integers(0, len(dataset)))
     window_start = int(rng.integers(0, dataset.base_frames - phase.frames + 1))
 
-    full = dataset.rendered_at_scale(clip_index, draw.alpha)
-    frames = np.ascontiguousarray(full[window_start + draw.indices])
+    # to_model_space is elementwise, so converting the selected frames gives
+    # the bytes of selecting from the converted clip
+    pixels = dataset.pixels_at_scale(clip_index, draw.alpha)
+    frames = to_model_space(pixels[window_start + draw.indices])
 
     record = dataset.record(clip_index)
     cond = ConditionSet(

@@ -276,12 +276,16 @@ STACK_BATCH = 2  # stacks per stack-net call, at least: one stack alone runs at 
 
 
 def _conv_s2(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 stride-2 convolution, float64, of input that already carries its
-    zero padding of 1."""
+    """3x3 stride-2 convolution, float64, of (C, N, H + 2, W + 2) input that
+    already carries its zero padding of 1, as one GEMM with the (O, C * 9)
+    weights on the left of a (C * 9, N * h * w) im2col; returns (O, N, h, w)."""
+    c, n = xp.shape[:2]
     windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
     windows = windows[:, :, ::2, ::2]  # stride 2
-    out = np.einsum("bchwij,ocij->bohw", windows, w, optimize=True)
-    return out + b[None, :, None, None]
+    h, w_out = windows.shape[2:4]
+    out = np.matmul(w, windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * 9, -1))
+    out += b[:, None]
+    return out.reshape(len(w), n, h, w_out)
 
 
 class VideoFeatureNet:
@@ -309,7 +313,7 @@ class VideoFeatureNet:
             fan = c_in * 9
             w = rng.normal(0.0, np.sqrt(2.0 / fan), size=(c_out, c_in, 3, 3))
             b = rng.normal(0.0, 0.1, size=c_out)
-            self.weights.append((w, b))
+            self.weights.append((w.reshape(c_out, fan), b))  # (O, C * 9) GEMM operand
             c_in = c_out
         self._anchors: dict[tuple[int, int], np.ndarray] = {}
 
@@ -334,15 +338,20 @@ class VideoFeatureNet:
         return g
 
     def _stats(self, g: np.ndarray) -> np.ndarray:
-        """Per-layer channel mean and std of padded `_gradients` output."""
+        """Per-layer channel mean and std of padded `_gradients` output.
+
+        Layers run channel-major, (C, N, H, W): each GEMM's output is the
+        next layer's input, written into a zero-bordered buffer."""
         stats = []
-        x = g
+        xp = g.transpose(1, 0, 2, 3)
         for i, (w, b) in enumerate(self.weights):
-            if i:
-                x = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="constant")
-            x = _conv_s2(x, w, b)
+            x = _conv_s2(xp, w, b)
             if i < len(self.weights) - 1:
-                x = np.maximum(x, 0.0)
+                np.maximum(x, 0.0, out=x)
+                c, n, h, w_out = x.shape
+                xp = np.zeros((c, n, h + 2, w_out + 2))
+                xp[:, :, 1:-1, 1:-1] = x
+            x = x.transpose(1, 0, 2, 3)
             stats.append(x.mean(axis=(2, 3)))
             stats.append(x.std(axis=(2, 3)))
         return np.concatenate(stats, axis=1)

@@ -482,28 +482,36 @@ def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | Non
     return out.reshape(x.shape), None if cdf is None else cdf.reshape(x.shape)
 
 
+def _gelu_forward(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """GELU of an array and, if `keep_cdf`, its cdf; `out` is `x * cdf` bit
+    for bit in both dtypes."""
+    if x.dtype == np.float32:
+        return _gelu32(x, keep_cdf)
+    cdf = _erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
+
+
+def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * (cdf + x * pdf), built in one buffer from the forward cdf."""
+    pdf = x * x
+    pdf *= -0.5
+    np.exp(pdf, out=pdf)
+    pdf *= _INV_SQRT2PI
+    pdf *= x
+    pdf += cdf
+    pdf *= g
+    return pdf
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU; float32 through `_gelu32`, bit-equal to scipy's erf."""
     x = a.data
-    track = _GRAD_ENABLED[-1] and a.requires_grad
-    if x.dtype == np.float32:
-        out, cdf = _gelu32(x, keep_cdf=track)
-    else:
-        cdf = _erf(x * _INV_SQRT2)
-        cdf += 1.0
-        cdf *= 0.5
-        out = x * cdf
+    out, cdf = _gelu_forward(x, keep_cdf=_GRAD_ENABLED[-1] and a.requires_grad)
 
     def bw(g):
-        # g * (cdf + x * pdf), built in one buffer from the forward cdf
-        pdf = x * x
-        pdf *= -0.5
-        np.exp(pdf, out=pdf)
-        pdf *= _INV_SQRT2PI
-        pdf *= x
-        pdf += cdf
-        pdf *= g
-        _accum(a, pdf)
+        _accum(a, _gelu_backward(x, cdf, g))
 
     return Tensor._from_op(out, (a,), bw)
 
@@ -608,31 +616,102 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- fused layers: one tape node each, hand-written backward -----------------------
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """`x @ w + b` over the last axis, the leading axes folded into one GEMM."""
+    d_in, d_out = w.shape
+    out = np.empty(x.shape[:-1] + (d_out,), dtype=np.result_type(x, w))
+    np.matmul(x.reshape(-1, d_in), w, out=out.reshape(-1, d_out))
+    if b is not None:
+        out += b
+    return out
+
+
+def _affine_backward(x: np.ndarray, w: Tensor, b: Tensor | None, g: np.ndarray,
+                     need_x: bool) -> np.ndarray | None:
+    """Accumulate the weight and bias gradients of `_affine(x, w, b)` for the
+    output gradient `g`; return the input gradient if `need_x`."""
+    d_in, d_out = w.shape
+    g2 = g.reshape(-1, d_out)
+    gx = None
+    if need_x:
+        gx = np.empty(x.shape, dtype=g.dtype)
+        np.matmul(g2, w.data.T, out=gx.reshape(-1, d_in))
+    if w.requires_grad:
+        _accum(w, x.reshape(-1, d_in).T @ g2)
+    if b is not None and b.requires_grad:
+        _accum(b, g2.sum(axis=0))
+    return gx
+
+
+def _check_linear(x_shape: tuple[int, ...], w: Tensor, b: Tensor | None):
+    if w.ndim != 2 or len(x_shape) < 1 or x_shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs (..., d_in) x (d_in, d_out), got {x_shape} x {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias shape {b.shape} does not match weight {w.shape}")
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """`x @ w + b` over the last axis of `x`. Leading axes fold into one 2-D
     GEMM, forward and backward, so the weight gradient is `x2ᵀ @ g2`."""
-    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear needs (..., d_in) x (d_in, d_out), got {x.shape} x {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
-        raise ShapeError(f"linear bias shape {b.shape} does not match weight {w.shape}")
-    d_in, d_out = w.shape
-    out = np.empty(x.shape[:-1] + (d_out,), dtype=np.result_type(x.data, w.data))
-    np.matmul(x.data.reshape(-1, d_in), w.data, out=out.reshape(-1, d_out))
-    if b is not None:
-        out += b.data
+    _check_linear(x.shape, w, b)
+    out = _affine(x.data, w.data, None if b is None else b.data)
 
     def bw(g):
-        g2 = g.reshape(-1, d_out)
-        if x.requires_grad:
-            gx = np.empty(x.shape, dtype=g.dtype)
-            np.matmul(g2, w.data.T, out=gx.reshape(-1, d_in))
+        gx = _affine_backward(x.data, w, b, g, x.requires_grad)
+        if gx is not None:
             _accum(x, gx)
-        if w.requires_grad:
-            _accum(w, x.data.reshape(-1, d_in).T @ g2)
-        if b is not None and b.requires_grad:
-            _accum(b, g2.sum(axis=0))
 
     return Tensor._from_op(out, (x, w) if b is None else (x, w, b), bw)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """`linear(gelu(linear(x, w1, b1)), w2, b2)`, the two-layer MLP with exact
+    GELU. The tape keeps fc1's output and the GELU cdf, not the GELU output:
+    fc2's weight gradient rebuilds that as their product, which is the
+    forward's own `x * cdf` bit for bit."""
+    _check_linear(x.shape, w1, b1)
+    _check_linear(x.shape[:-1] + w1.shape[1:], w2, b2)
+    parents = (x, w1, b1, w2, b2)
+    track = _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
+    h = _affine(x.data, w1.data, b1.data)
+    act, cdf = _gelu_forward(h, keep_cdf=track)
+    if not track:
+        h = None  # without a backward, fc1's output can go before fc2's GEMM
+    out = _affine(act, w2.data, b2.data)
+
+    def bw(g):
+        need_h = x.requires_grad or w1.requires_grad or b1.requires_grad
+        g_act = _affine_backward(h * cdf if w2.requires_grad else h, w2, b2, g, need_h)
+        if need_h:
+            gh = _gelu_backward(h, cdf, g_act)
+            del g_act
+            gx = _affine_backward(x.data, w1, b1, gh, x.requires_grad)
+            if gx is not None:
+                _accum(x, gx)
+
+    return Tensor._from_op(out, parents, bw)
+
+
+def gated_residual(x: Tensor, gate: Tensor, y: Tensor) -> Tensor:
+    """`x + gate * y`, a gated residual update, as one node; `gate` broadcasts
+    against `y`, whose shape is `x`'s. The backward reads only `gate` and
+    `y`, so the tape keeps no product."""
+    if y.shape != x.shape or gate.ndim > y.ndim or any(
+            g not in (1, d) for g, d in zip(gate.shape[::-1], y.shape[::-1])):
+        raise ShapeError(f"gated_residual needs x and y of one shape and a gate that "
+                         f"broadcasts to it, got {x.shape}, {gate.shape}, {y.shape}")
+    out = gate.data * y.data
+    out += x.data
+
+    def bw(g):
+        if x.requires_grad:
+            _accum(x, g)
+        if gate.requires_grad:
+            _accum(gate, _unbroadcast(g * y.data, gate.shape))
+        if y.requires_grad:
+            _accum(y, g * gate.data)
+
+    return Tensor._from_op(out, (x, gate, y), bw)
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:

@@ -363,8 +363,11 @@ def generate_dataset(out_dir, clips: int, frames: int, height: int, width: int,
 
 
 def to_model_space(frames_u8: np.ndarray) -> np.ndarray:
-    """uint8 pixels -> float32 in [-1, 1]."""
-    return (frames_u8.astype(np.float32) / 127.5) - 1.0
+    """uint8 pixels -> float32 in [-1, 1], in one new array."""
+    out = frames_u8.astype(np.float32)
+    out /= 127.5
+    out -= 1.0
+    return out
 
 
 def to_pixel_space(frames: np.ndarray) -> np.ndarray:
@@ -432,8 +435,9 @@ class ClipDataset:
     def scene(self, i: int) -> SceneSpec:
         return scene_for_clip(self.manifest["seed"], i, self.manifest["frames"])
 
-    def rendered_at_scale(self, i: int, alpha: int) -> np.ndarray:
-        """Full clip at (base_h * alpha, base_w * alpha), model space."""
+    def pixels_at_scale(self, i: int, alpha: int) -> np.ndarray:
+        """Full clip at (base_h * alpha, base_w * alpha), uint8 pixels; cached,
+        a quarter of the size of its model-space floats."""
         key = (i, alpha)
         if key not in self._scaled:
             m = self.manifest
@@ -443,5 +447,9 @@ class ClipDataset:
                 frames = render_clip(self.scene(i), m["height"] * alpha,
                                      m["width"] * alpha, m["frames"], m["fps"],
                                      base_h=m["height"]).frames
-            self._scaled[key] = to_model_space(frames)
+            self._scaled[key] = frames
         return self._scaled[key]
+
+    def rendered_at_scale(self, i: int, alpha: int) -> np.ndarray:
+        """`pixels_at_scale` in model space, converted on each call."""
+        return to_model_space(self.pixels_at_scale(i, alpha))

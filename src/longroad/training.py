@@ -119,6 +119,10 @@ def train_step(model, examples: list[TrainingExample], cfg: TrainConfig,
     losses = []
     inv = 1.0 / len(examples)
     for ex, nrng, drng in zip(examples, noise_rngs, dropout_rngs):
+        # free the previous example's tape (it hangs off pred and loss) before
+        # this forward; the last one lives past Adam, as freeing it earlier let
+        # malloc return its pages and the next step fault them all in again
+        pred = loss = None
         batch = make_batch(ex.clip, ex.partition, schedule, nrng)
         cond = ex.cond
         if cfg.cond_dropout > 0 and drng.random() < cfg.cond_dropout:

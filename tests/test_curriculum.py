@@ -138,6 +138,25 @@ class TestNextBatch:
         expect = rec.commands[ex.window_start + ex.plan.original_indices]
         np.testing.assert_array_equal(ex.cond.command_ids, expect)
 
+    def test_frames_equal_selection_from_float_clip(self, dataset):
+        # the cache holds uint8 pixels and converts only the selected frames;
+        # the clip must be the bytes of selecting from the whole converted clip
+        for frames in (8, 16, 32):
+            phase = C.CurriculumPhase(frames=frames, batch=1, steps=1)
+            for seed in range(6):
+                ex = C.next_batch(phase, dataset, np.random.default_rng(seed), [1, 2], 4, META)
+                full = R.to_model_space(dataset.pixels_at_scale(ex.clip_index, ex.draw.alpha))
+                want = np.ascontiguousarray(full[ex.window_start + ex.draw.indices])
+                assert ex.clip.dtype == np.float32 and ex.clip.flags.c_contiguous
+                assert ex.clip.tobytes() == want.tobytes()
+
+    def test_cache_holds_pixels(self, dataset):
+        pixels = dataset.pixels_at_scale(1, 2)
+        assert pixels.dtype == np.uint8 and pixels.shape == (32, 3, 32, 48)
+        assert dataset.pixels_at_scale(1, 2) is pixels
+        assert dataset.pixels_at_scale(1, 1) is dataset.record(1).frames
+        assert dataset.rendered_at_scale(1, 2).tobytes() == R.to_model_space(pixels).tobytes()
+
     def test_clip_too_short(self, dataset):
         phase = C.CurriculumPhase(frames=64, batch=1, steps=1)
         with pytest.raises(DataError):

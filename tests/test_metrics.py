@@ -391,12 +391,38 @@ def oracle_gradients(x):
     return np.pad(g, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="constant")
 
 
-def oracle_features(net, batch):
+def oracle_conv_s2(xp, w, b):
+    """The einsum convolution `_conv_s2` replaced, as reference: padded
+    (N, C, H + 2, W + 2) input, (N, O, h, w) output."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
+    out = np.einsum("bchwij,ocij->bohw", windows, w.reshape(len(w), -1, 3, 3), optimize=True)
+    return out + b[None, :, None, None]
+
+
+def oracle_stats(net, g):
+    """`_stats` before its one-GEMM convolutions, as reference: frame-major
+    einsum convolutions, each later layer's input padded by `np.pad`."""
+    stats = []
+    x = g
+    for i, (w, b) in enumerate(net.weights):
+        if i:
+            x = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="constant")
+        x = oracle_conv_s2(x, w, b)
+        if i < len(net.weights) - 1:
+            x = np.maximum(x, 0.0)
+        stats.append(x.mean(axis=(2, 3)))
+        stats.append(x.std(axis=(2, 3)))
+    return np.concatenate(stats, axis=1)
+
+
+def oracle_features(net, batch, stats=None):
     """The one-shot feature net the batched call replaced, as reference: the
-    whole (N, C, H, W) batch through `oracle_gradients` and `_stats` at once."""
+    whole (N, C, H, W) batch through `oracle_gradients` and `stats` (by
+    default `oracle_stats`) at once."""
+    stats = stats or (lambda g: oracle_stats(net, g))
     x = M._to_unit(batch)
     zero = np.zeros((1, 2 * net.channels, x.shape[2] + 2, x.shape[3] + 2))
-    feats = net._stats(oracle_gradients(x)) - net._stats(zero)[0][None, :]
+    feats = stats(oracle_gradients(x)) - stats(zero)[0][None, :]
     hom = np.full((feats.shape[0], 1), net.HOMOGENEOUS)
     feats = np.concatenate([feats, hom], axis=1)
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
@@ -486,6 +512,30 @@ def gradient_batches(draw):
     return M._net(c, 42), rng.random(shape)
 
 
+class TestGemmConvolution:
+    @settings(max_examples=40, deadline=None)
+    @given(gradient_batches())
+    def test_stats_equal_einsum_reference(self, case):
+        # bit-equal while every layer output is wider than 1x1; at a 1x1
+        # output the einsum handed BLAS a transposed operand, which can
+        # round the other way
+        net, batch = case
+        g = net._gradients(M._to_unit(batch))
+        got, want = net._stats(g), oracle_stats(net, g)
+        h, w = batch.shape[2:]
+        if h > 8 or w > 8:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_weights_are_gemm_operands(self):
+        net = M._net(3, 42)
+        c_in = 6
+        for (w, b), c_out in zip(net.weights, net.WIDTHS):
+            assert w.shape == (c_out, 9 * c_in) and w.flags.c_contiguous and b.shape == (c_out,)
+            c_in = c_out
+
+
 class TestPaddedGradients:
     @settings(max_examples=40, deadline=None)
     @given(gradient_batches())
@@ -493,8 +543,10 @@ class TestPaddedGradients:
         net, batch = case
         x = M._to_unit(batch)
         assert net._gradients(x).tobytes() == oracle_gradients(x).tobytes()
-        # one net call on the whole batch, as the oracle makes it
-        got, want = net(batch, rows=len(batch)), oracle_features(net, batch)
+        # one net call on the whole batch, as the oracle makes it, through the
+        # net's own `_stats` (TestGemmConvolution checks those against the
+        # einsum reference)
+        got, want = net(batch, rows=len(batch)), oracle_features(net, batch, net._stats)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert got.strides == want.strides
 

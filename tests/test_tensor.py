@@ -387,9 +387,11 @@ class TestDeterminism:
 
 
 # -- fused layers ---------------------------------------------------------------
-# The oracles are the compositions of primitive ops that `linear`, `attention`
-# and `modulated_norm` replaced. The fused ops sum in another order, so they
-# are compared in float64 within 1e-10 of the largest oracle magnitude.
+# The oracles are the compositions of primitive ops that `linear`, `attention`,
+# `modulated_norm`, `mlp` and `gated_residual` replaced. The first three sum
+# in another order, so they are compared in float64 within 1e-10 of the
+# largest oracle magnitude; the last two keep every operation and its order,
+# and are also checked bit for bit in float32.
 
 
 def oracle_linear(x, w, b=None):
@@ -425,6 +427,14 @@ def oracle_modulated_norm(x, shift, scale, eps):
     return T.add(T.mul(normed, T.add(scale, 1.0)), shift)
 
 
+def oracle_mlp(x, w1, b1, w2, b2):
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+
+
+def oracle_gated_residual(x, gate, y):
+    return T.add(x, T.mul(gate, y))
+
+
 def rope_for(n, dh, rng):
     ang = rng.uniform(-np.pi, np.pi, size=(n, dh // 2))
     return np.cos(ang), np.sin(ang)
@@ -449,6 +459,10 @@ def fused_cases():
          lambda q, k, v: oracle_attention(q, k, v, 2, 0.5), ins((2, 4, 8), (2, 3, 8), (2, 3, 8))),
         ("modulated_norm", lambda x, s, c: T.modulated_norm(x, s, c, 1e-6),
          lambda x, s, c: oracle_modulated_norm(x, s, c, 1e-6), ins((3, 4, 6), (3, 1, 6), (3, 1, 6))),
+        ("mlp", T.mlp, oracle_mlp, ins((2, 3, 4), (4, 6), (6,), (6, 4), (4,))),
+        ("mlp_2d", T.mlp, oracle_mlp, ins((5, 3), (3, 3), (3,), (3, 3), (3,))),
+        ("gated_residual", T.gated_residual, oracle_gated_residual,
+         ins((3, 4, 6), (3, 1, 6), (3, 4, 6))),
     ]
 
 
@@ -491,9 +505,72 @@ class TestFusedOps:
         for _, fused, _, inputs in fused_cases():
             assert tape_size(fused(*inputs)) == 1 + len(inputs)
 
+    @pytest.mark.parametrize("name", ["mlp", "gated_residual"])
+    def test_float32_bit_equal_to_unfused(self, name):
+        # the fused node must train bit-identically: output and every
+        # gradient equal the unfused composition's in float32; the MLP's
+        # hidden layer spans several GELU blocks
+        rng = np.random.default_rng(43)
+        shapes = {"mlp": [(4, 70, 16), (16, 64), (64,), (64, 16), (16,)],
+                  "gated_residual": [(4, 70, 16), (4, 1, 16), (4, 70, 16)]}[name]
+        fused, oracle = {"mlp": (T.mlp, oracle_mlp),
+                         "gated_residual": (T.gated_residual, oracle_gated_residual)}[name]
+        inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for s in shapes]
+        g = Tensor(rng.normal(size=shapes[0]).astype(np.float32))
+        results = []
+        for fn in (fused, oracle):
+            for t in inputs:
+                t.zero_grad()
+            y = fn(*inputs)
+            T.reduce_sum(T.mul(y, g)).backward()
+            results.append([y.data] + [t.grad for t in inputs])
+        for got, want in zip(*results):
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    def test_mlp_tape_keeps_no_gelu_output(self):
+        # the node keeps fc1's output and the GELU cdf; the GELU output,
+        # the same size again, is rebuilt in the backward
+        import tracemalloc
+
+        rng = np.random.default_rng(44)
+        shapes = [(64, 32, 16), (16, 64), (64,), (64, 16), (16,)]
+        inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for s in shapes]
+        hidden = 64 * 32 * 64 * 4
+
+        def kept(fn):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                y = fn(*inputs)
+                return tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert kept(T.mlp) < 2.25 * hidden
+        assert kept(oracle_mlp) > 2.75 * hidden
+
+    def test_no_grad_mlp_keeps_nothing(self):
+        rng = np.random.default_rng(45)
+        inputs = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in [(3, 4), (4, 8), (8,), (8, 4), (4,)]]
+        with T.no_grad():
+            y = T.mlp(*inputs)
+        assert not y.requires_grad and y._backward is None
+        assert y.data.tobytes() == oracle_mlp(*inputs).data.tobytes()
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             T.linear(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))))
+        with pytest.raises(ShapeError):
+            T.mlp(*[t64(np.zeros(s)) for s in [(2, 3), (3, 4), (4,), (5, 3), (3,)]])
+        with pytest.raises(ShapeError):
+            T.mlp(*[t64(np.zeros(s)) for s in [(2, 3), (3, 4), (4,), (4, 3), (2,)]])
+        with pytest.raises(ShapeError):
+            T.gated_residual(*[t64(np.zeros(s)) for s in [(2, 3), (3,), (2, 1)]])
+        with pytest.raises(ShapeError):
+            T.gated_residual(*[t64(np.zeros(s)) for s in [(2, 3), (2,), (2, 3)]])
         with pytest.raises(ShapeError):
             T.attention(*[t64(np.zeros((1, 2, 6)))] * 3, heads=4, scale=1.0)
         with pytest.raises(ShapeError):
@@ -527,6 +604,8 @@ class TestFusedOps:
         monkeypatch.setattr(T, "linear", oracle_linear)
         monkeypatch.setattr(T, "attention", oracle_attention)
         monkeypatch.setattr(T, "modulated_norm", oracle_modulated_norm)
+        monkeypatch.setattr(T, "mlp", oracle_mlp)
+        monkeypatch.setattr(T, "gated_residual", oracle_gated_residual)
         want_out, want_grads, want_nodes = run()
 
         assert np.max(np.abs(out - want_out)) <= 1e-10 * np.max(np.abs(want_out))
@@ -536,3 +615,40 @@ class TestFusedOps:
         for k, g in want_grads.items():
             assert np.max(np.abs(grads[k] - g)) <= 1e-10 * scale, k
         assert nodes < want_nodes
+
+
+def test_denoiser_float32_bit_equal_to_unfused_with_fewer_nodes(monkeypatch):
+    """The fused MLP and gated-residual nodes change no bit of a float32
+    forward or backward, and remove 6 tape nodes per block plus 2 for the
+    timestep MLP."""
+    from longroad import backbone as B
+
+    cfg = B.ModelConfig(depth=2, hidden=16, heads=2, patch=2, channels=3, t_max=20,
+                        text_vocab=8, max_original_index=64)
+    model = B.VideoDenoiser(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for p in model.parameters():
+        p.data = rng.normal(0, 0.3, size=p.shape).astype(np.float32)
+    x = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
+    cond = B.ConditionSet(np.array([1, 2]), np.array([0, 1, 2]), 10.0, 8.0, 8.0)
+    plan = B.RopePlan(np.array([0, 2, 5]))
+    eps = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
+
+    def run():
+        model.zero_grad()
+        pred = model.forward(x, np.array([0, 4, 9]), cond, plan)
+        loss = T.reduce_sum(T.mul(T.add(pred.eps_hat, pred.v_hat), Tensor(eps)))
+        nodes = tape_size(loss)
+        loss.backward()
+        return loss.data, {k: p.grad for k, p in model.named_parameters().items()}, nodes
+
+    loss, grads, nodes = run()
+    monkeypatch.setattr(T, "mlp", oracle_mlp)
+    monkeypatch.setattr(T, "gated_residual", oracle_gated_residual)
+    want_loss, want_grads, want_nodes = run()
+    assert loss.tobytes() == want_loss.tobytes()
+    assert [k for k, g in grads.items() if g is None] == ["null_embed.table"]
+    for k, g in want_grads.items():
+        if g is not None:
+            assert grads[k].dtype == np.float32 and grads[k].tobytes() == g.tobytes(), k
+    assert want_nodes - nodes == 6 * cfg.depth + 2

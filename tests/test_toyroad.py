@@ -360,6 +360,14 @@ class TestDataset:
         with pytest.raises(DataError):
             R.ClipDataset(tmp_path)
 
+    def test_model_space_equals_float_division_at_every_pixel(self):
+        # in-place conversion, the same float32 divide and subtract as
+        # `(px.astype(np.float32) / 127.5) - 1.0`, on all 256 values
+        px = np.arange(0, 256, dtype=np.uint8)
+        want = (px.astype(np.float32) / 127.5) - 1.0
+        got = R.to_model_space(px)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
     def test_model_space_round_trip(self):
         px = np.arange(0, 256, dtype=np.uint8).reshape(1, 1, 16, 16)
         back = R.to_pixel_space(R.to_model_space(px))

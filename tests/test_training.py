@@ -97,6 +97,29 @@ class TestTrainStep:
         for k, p in model.named_parameters().items():
             assert p.data.tobytes() == before[k].tobytes(), k
 
+    def test_two_examples_peak_like_one(self, dataset):
+        # each example's tape is freed before the next example's forward, so
+        # a second example adds its batch-sized inputs, not a second tape
+        import tracemalloc
+
+        cfg = tiny_cfg()
+        sched = D.build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
+        ex = one_example(dataset, cfg)
+
+        def peak(n):
+            model = tiny_model()
+            opt = TR.Adam(model.named_parameters(), cfg.lr)
+            rngs = [np.random.default_rng(7 + i) for i in range(2 * n)]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                TR.train_step(model, [ex] * n, cfg, sched, opt, rngs[:n], rngs[n:])
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2) < 1.3 * peak(1)
+
     def test_gradient_clipping_scales_to_ball(self):
         p = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
         p.grad = np.full(4, 10.0, dtype=np.float32)

@@ -31,7 +31,7 @@ from . import toyroad as R
 from . import training as TR
 from .backbone import ConditionSet, VideoDenoiser
 from .diffusion import build_schedule
-from .fileio import atomic_write, output_errors
+from .fileio import atomic_write, output_errors, write_json
 from .errors import (ConfigError, ContractError, DataError, FormatError,
                      LongroadError, MetricUndefinedError, NumericDomainError,
                      NumericFailure)
@@ -124,7 +124,7 @@ def cmd_train(args) -> int:
         "steps": len(result.history),
         "final_loss": result.history[-1]["loss"] if result.history else None,
     }
-    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    write_json(out / "run_meta.json", meta)
     print(f"trained {len(result.history)} steps; checkpoints: "
           + ", ".join(p.name for p in result.checkpoints))
     return 0
@@ -222,7 +222,7 @@ def cmd_rollout(args) -> int:
         "frames": total,
         "duration_seconds": total / fps,
     }
-    Path(str(args.out) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    write_json(str(args.out) + ".json", sidecar)
     print(f"wrote {total} frames to {args.out}")
     return 0
 
@@ -320,8 +320,7 @@ def cmd_eval(args) -> int:
         "per_clip": per_clip,
         "aggregate": aggregate,
     }
-    with atomic_write(args.out) as f:
-        f.write(json.dumps(report, indent=2, sort_keys=True).encode())
+    write_json(args.out, report)
     if args.csv:
         lines = ["clip,frame,metric,value"]
         for name, entry in per_clip.items():

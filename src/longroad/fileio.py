@@ -4,6 +4,7 @@ output cannot be created."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -39,3 +40,9 @@ def atomic_write(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as indented, key-sorted JSON through `atomic_write`."""
+    with atomic_write(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True).encode())

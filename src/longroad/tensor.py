@@ -327,11 +327,12 @@ def sqrt(a: Tensor) -> Tensor:
 # GELU is x * Phi(x) = x * (1 + erf(x / sqrt 2)) / 2, and scipy's erf, ~12 ns an
 # element, was a third of a denoiser forward. The float32 path computes erf in
 # float64 from add/multiply/divide ufuncs, in cache-sized blocks, and rounds it
-# to float32. Where that float64 value lies within its error bound of a float32
-# rounding midpoint, it might round the other way from scipy's, so the element
-# goes to scipy, which stays the definition: the output is bit-equal to
-# `x * (0.5 * (1 + scipy.special.erf(x * (1 / sqrt 2))))` at every float32 x,
-# which tests/test_tensor.py checks over all 2**32 bit patterns (`slow`).
+# to float32. Where that cannot settle the float32 value (|y| > 2, y not
+# normal, or the float64 value within its error bound of a float32 rounding
+# midpoint), the block hands the element to scipy, which stays the definition:
+# the output is bit-equal to `x * (0.5 * (1 + scipy.special.erf(x * (1 / sqrt 2))))`
+# at every float32 x, which tests/test_tensor.py checks over all 2**32 bit
+# patterns (`slow`).
 
 
 def _hex(*coeffs: str) -> tuple[float, ...]:
@@ -346,35 +347,19 @@ _ERF_P = _hex("0x1.01f68a8b94560p+16", "0x1.0fe7d4d8f70a5p+13", "0x1.4bb9de829cf
               "0x1.cb8c98f06e701p+6", "0x1.48a166709b3d6p+3")
 _ERF_Q = _hex("0x1.c93a4442e94efp+15", "0x1.a94dad9a0bcfap+14", "0x1.5c480e297c0d7p+12",
               "0x1.3b6a1f25d32e1p+9", "0x1.3a1a8011be42dp+5")
-# erf(|y|) on 2 < |y| < _ERF_ONE: degree-16 polynomial in |y| - _ERF_TAIL_AT,
-# absolute error 1.6e-13; the sign of y is copied on.
-_ERF_TAIL_AT = float.fromhex("0x1.7ad445p+1")
-_ERF_TAIL = _hex(
-    "0x1.fffc454a3e817p-1", "0x1.738716ff29ac0p-13", "-0x1.12e4c3c1263aep-11",
-    "0x1.ff6c5a81fc4ecp-11", "-0x1.4c963e0ef6f1dp-10", "0x1.3d045e5a986f4p-10",
-    "-0x1.c01db0ae918f6p-11", "0x1.c7eb76cb8ef55p-12", "-0x1.2295fbd6e3319p-13",
-    "0x1.bd301cb6a9ae3p-18", "0x1.5bb3dd81e195cp-16", "-0x1.9ddfc5442177ep-17",
-    "0x1.876c910037d91p-19", "0x1.1999359e9a31bp-21", "-0x1.385be6dac7ceep-21",
-    "0x1.96a1883fefd7bp-24", "0x1.6dde745605488p-26")
-# The smallest float32 y whose erf rounds to 1.0f (found by sweeping scipy's
-# erf over float32); erf(y) is 1.0f for every y from here to inf.
-_ERF_ONE = float.fromhex("0x1.f5a88ap+1")
-# Guard bands, in float64 ulps of the value's binade, either side of a float32
-# rounding midpoint (low 29 mantissa bits 1 << 28). They cover the
-# approximation error (1.4e-11 relative is <= 1.24e5 ulps; 1.6e-13 absolute
-# below 1 is <= 1.5e3 ulps) with room for Horner's and scipy's few ulps; over
-# every float32 y the kernel's float64 erf and scipy's differ by at most
-# 122,984 and 1,420 ulps. So a value outside the band rounds to float32 as
-# scipy's does.
+# Guard band, in float64 ulps of the value's binade, either side of a float32
+# rounding midpoint (low 29 mantissa bits 1 << 28). It covers the
+# approximation error (1.4e-11 relative is <= 1.24e5 ulps) with room for
+# Horner's and scipy's few ulps; over every float32 |y| <= 2 the kernel's
+# float64 erf and scipy's differ by at most 122,984 ulps. So a value outside
+# the band rounds to float32 as scipy's does.
 _ERF_GUARD = 1 << 18
-_ERF_TAIL_GUARD = 1 << 12
 _LOW29 = (1 << 29) - 1
 # Blocks of 16K elements keep the float64 scratch (3 x 128 KB) in L2.
 _GELU_BLOCK = 1 << 14
 # |y| bits from the smallest normal float32 (below it erf is subnormal) to 2.0
 _MAIN_LO = 0x00800000
 _MAIN_SPAN = 0x40000000 - _MAIN_LO
-_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _horner(acc: np.ndarray, t: np.ndarray, coeffs: tuple[float, ...]):
@@ -384,67 +369,33 @@ def _horner(acc: np.ndarray, t: np.ndarray, coeffs: tuple[float, ...]):
         np.add(acc, c, out=acc)
 
 
-def _near_midpoint(v: np.ndarray, guard: int, scratch: np.ndarray, out: np.ndarray):
-    """Set `out` where float64 `v` is within `guard` ulps of a float32 rounding
-    midpoint. `scratch` is a uint64 buffer of v's shape."""
-    np.subtract(v.view(np.uint64), (1 << 28) - guard, out=scratch)
-    np.bitwise_and(scratch, _LOW29, out=scratch)
-    np.less(scratch, 2 * guard, out=out)
-
-
-def _erf32_rest(e: np.ndarray, f64: np.ndarray, flags: np.ndarray):
-    """Overwrite float32 `e`, holding y, with erf(y) for elements the blocked
-    pass left: |y| > 2 or not normal, NaN, or near a midpoint. `f64` (3, k)
-    and `flags` (3, k) are scratch."""
-    a, t, v = f64
-    one, tail, near = flags
-    np.abs(e, out=a)
-    np.subtract(a, _ERF_TAIL_AT, out=t)
-    v.fill(_ERF_TAIL[-1])
-    _horner(v, t, _ERF_TAIL[:-1])
-    np.copysign(v, e, out=v)
-    np.greater(a, 2.0, out=tail)
-    np.less(a, _ERF_ONE, out=near)
-    tail &= near
-    _near_midpoint(v, _ERF_TAIL_GUARD, t.view(np.uint64), out=near)
-    np.greater(tail, near, out=tail)  # and not near a midpoint
-    np.greater_equal(a, _ERF_ONE, out=one)
-    np.less_equal(a, _F32_MAX, out=near)
-    one &= near  # finite, at or past saturation
-    np.logical_or(one, tail, out=near)
-    rest = np.flatnonzero(np.logical_not(near, out=near))
-    settled = _erf(e[rest])
-    np.copysign(np.float32(1.0), e, out=e, where=one)
-    np.copyto(e, v, casting="same_kind", where=tail)
-    e[rest] = settled
-
-
 def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """float32 GELU forward; returns (out, cdf), cdf None unless `keep_cdf`.
 
-    Scratch is allocated once per call and reused block to block, then by the
-    second pass over the elements the blocks left; without `keep_cdf` no
-    array of x's size is made besides `out`.
+    One pass over 16K-element blocks. In each, the float64 rational gives
+    erf(y), and the elements it cannot settle (|y| > 2; zero, subnormal or
+    non-finite y; near a midpoint) get scipy's erf before the cdf is formed.
+    Scratch is allocated once per call and reused block to block; without
+    `keep_cdf` no array of x's size is made besides `out`.
     """
     flat = x.reshape(-1)
     n = flat.size
     out = np.empty_like(flat)
     cdf = np.empty_like(flat) if keep_cdf else None
     size = max(1, min(n, _GELU_BLOCK))
-    f32, f64, flags = np.empty((2, size), np.float32), np.empty((3, size)), np.empty((3, size), bool)
-    rest = []
+    f32, f64, flags = np.empty((2, size), np.float32), np.empty((3, size)), np.empty((2, size), bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, size):
             stop = min(start + size, n)
             k = stop - start
-            y, (d, z, num), hit, mid = f32[0, :k], f64[:, :k], flags[0, :k], flags[1, :k]
+            (y, spare), (d, z, num), (hit, mid) = f32[:, :k], f64[:, :k], flags[:, :k]
             xb = flat[start:stop]
             np.multiply(xb, _INV_SQRT2, out=y)  # float32, as the reference rounds it
             d[...] = y
-            bits = y.view(np.uint32)
-            np.bitwise_and(bits, 0x7FFFFFFF, out=bits)
+            bits = spare.view(np.uint32)
+            np.bitwise_and(y.view(np.uint32), 0x7FFFFFFF, out=bits)
             np.subtract(bits, _MAIN_LO, out=bits)
-            np.greater(bits, _MAIN_SPAN, out=hit)  # |y| > 2, not normal, or NaN
+            np.greater(bits, _MAIN_SPAN, out=hit)  # |y| > 2, zero, subnormal or not finite
             np.multiply(d, d, out=z)
             np.multiply(z, _ERF_P[4], out=num)
             np.add(num, _ERF_P[3], out=num)
@@ -454,31 +405,21 @@ def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | Non
             np.add(z, _ERF_Q[4], out=den)
             _horner(den, z, _ERF_Q[:4])
             np.divide(num, den, out=num)
-            _near_midpoint(num, _ERF_GUARD, z.view(np.uint64), out=mid)
+            low = z.view(np.uint64)  # z is no longer needed
+            np.subtract(num.view(np.uint64), (1 << 28) - _ERF_GUARD, out=low)
+            np.bitwise_and(low, _LOW29, out=low)
+            np.less(low, 2 * _ERF_GUARD, out=mid)  # near a float32 rounding midpoint
             np.logical_or(hit, mid, out=hit)
             idx = np.flatnonzero(hit)
-            if idx.size:
-                idx += start
-                rest.append(idx)
+            settled = spare[:idx.size]
+            np.take(y, idx, out=settled, mode="clip")  # "raise" would buffer
+            _erf(settled, out=settled)
             cb = cdf[start:stop] if keep_cdf else y
             cb[...] = num
+            cb[idx] = settled
             cb += 1.0
             cb *= 0.5
             np.multiply(xb, cb, out=out[start:stop])
-        rest = np.concatenate(rest) if rest else ()
-        for start in range(0, len(rest), size):
-            idx = rest[start:start + size]
-            k = idx.size
-            xr, e = f32[:, :k]
-            np.take(flat, idx, out=xr, mode="clip")  # "raise" would buffer
-            np.multiply(xr, _INV_SQRT2, out=e)
-            _erf32_rest(e, f64[:, :k], flags[:, :k])
-            e += 1.0
-            e *= 0.5
-            if keep_cdf:
-                cdf[idx] = e
-            np.multiply(xr, e, out=xr)
-            out[idx] = xr
     return out.reshape(x.shape), None if cdf is None else cdf.reshape(x.shape)
 
 

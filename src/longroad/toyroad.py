@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError
-from .fileio import atomic_write, output_errors
+from .fileio import atomic_write, output_errors, write_json
 from .seeding import rng_for
 
 MAGIC = b"TOYR"
@@ -266,6 +266,8 @@ def write_clip_chunks(path, frame_shape, fps: int, caption: str, commands,
     from `commands` (one byte per frame), and the chunks must add up to it.
     The file appears at `path` only once complete."""
     c, h, w = frame_shape
+    if min(c, h, w) < 1:
+        raise ContractError(f"need frames of at least 1 channel, row and column, got {(c, h, w)}")
     commands = np.asarray(commands, dtype=np.uint8)
     l = commands.shape[0] if commands.ndim == 1 else 0
     if l < 1:
@@ -312,6 +314,9 @@ def read_clip(path) -> ClipRecord:
         pos += 10
         if version != VERSION:
             raise FormatError(f"unsupported clip version {version}", offset=4)
+        for size, name, at in ((h, "rows", 6), (w, "columns", 8), (c, "channels", 12)):
+            if size == 0:
+                raise FormatError(f"clip has 0 {name}", offset=at)
         try:
             (cap_len,) = struct.unpack("<I", f.read(4))
         except struct.error:
@@ -358,7 +363,7 @@ def generate_dataset(out_dir, clips: int, frames: int, height: int, width: int,
     }
     if extra_manifest:
         manifest.update(extra_manifest)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_json(out / "manifest.json", manifest)
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +317,22 @@ class TestEval:
                    "--out", str(tmp_path / "r.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("at, size, metrics", [
+        (12, 1, []),  # 0 channels: the feature net's init divided by zero
+        (6, 2, ["--metrics", "background_consistency"]),  # 0 rows: no conv window fits
+    ])
+    def test_empty_frame_header_exit_two(self, tmp_path, capsys, at, size, metrics):
+        data = datagen(tmp_path)
+        clip = sorted(data.glob("*.toyr"))[0]
+        blob = clip.read_bytes()
+        clip.write_bytes(blob[:at] + bytes(size) + blob[at + size:])
+        out = tmp_path / "r.json"
+        rc = main(["eval", "--gen", str(data), "--ref", str(data), "--config",
+                   str(write_config(tmp_path)), *metrics, "--out", str(out)])
+        assert rc == 2
+        assert f"byte offset {at}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_two(self, tmp_path, capsys):
         data = datagen(tmp_path)
         missing = tmp_path / "missing.json"
@@ -488,7 +505,8 @@ def test_non_finite_config_number_exit_one(tmp_path, capsys, section, key, comma
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["datagen", "train", "rollout", "eval", "eval-csv"])
+@pytest.mark.parametrize("command", ["datagen", "datagen-manifest", "train", "train-meta",
+                                     "rollout", "rollout-sidecar", "eval", "eval-csv"])
 def test_unwritable_output_exit_two(tmp_path, capsys, command):
     afile = tmp_path / "afile"
     afile.write_text("")
@@ -496,25 +514,32 @@ def test_unwritable_output_exit_two(tmp_path, capsys, command):
     data = datagen(tmp_path)
     cfg = str(write_config(tmp_path))
     evaluate = ["eval", "--gen", str(data), "--ref", str(data), "--config", cfg]
-    if command == "datagen":
-        target = afile / "sub"
-        argv = ["datagen", "--out", str(target), "--clips", "1", "--frames", "4"]
-    elif command == "train":
-        target = afile / "run"
-        argv = ["train", "--config", cfg, "--data", str(data), "--out", str(target)]
-    elif command == "rollout":
+    # "-manifest", "-meta", "-sidecar": a directory stands where the JSON side output goes
+    blocked = command.endswith(("-manifest", "-meta", "-sidecar"))
+    if command.startswith("datagen"):
+        out = tmp_path / "d" if blocked else afile / "sub"
+        target = out / "manifest.json" if blocked else out
+        argv = ["datagen", "--out", str(out), "--clips", "1", "--frames", "4"]
+    elif command.startswith("train"):
+        out = tmp_path / "run" if blocked else afile / "run"
+        target = out / "run_meta.json" if blocked else out
+        argv = ["train", "--config", cfg, "--data", str(data), "--out", str(out)]
+    elif command.startswith("rollout"):
         ckpt = tmp_path / "model.idck"
         model = VideoDenoiser(model_config(load_config(cfg)), rng_for(3, "init"))
         save_tensors(ckpt, model.named_parameters())
-        target = missing / "x.toyr.chunks.jsonl"
+        out = tmp_path / "x.toyr" if blocked else missing / "x.toyr"
+        target = Path(f"{out}.json" if blocked else f"{out}.chunks.jsonl")
         argv = ["rollout", "--ckpt", str(ckpt), "--config", cfg, "--cond", "none",
-                "--iters", "1", "--out", str(missing / "x.toyr")]
+                "--iters", "1", "--out", str(out)]
     elif command == "eval":
         target = missing / "r.json"
         argv = [*evaluate, "--out", str(target)]
     else:
         target = missing / "c.csv"
         argv = [*evaluate, "--out", str(tmp_path / "r.json"), "--csv", str(target)]
+    if blocked:
+        target.mkdir(parents=True)
     rc = main(argv)
     assert rc == 2
     err = capsys.readouterr().err

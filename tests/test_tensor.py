@@ -177,6 +177,19 @@ class TestGeluFloat32:
             T.reduce_sum(T.mul(out, Tensor(g))).backward()
         assert_bit_equal(xt.grad, gelu_grad_oracle(x, want_cdf, g))
 
+    def test_every_float32_with_magnitude_2_to_8(self):
+        # |y| from 1.41 to 5.66: across |y| = 2, where the rational hands over
+        # to scipy, and past 3.92, from where erf rounds to 1.0f
+        lo, hi = np.array([2.0, 8.0], np.float32).view(np.uint32)
+        chunk = 1 << 22
+        for start in range(lo, hi, chunk):
+            for sign in (0, 1 << 31):
+                x = np.arange(start | sign, (start + chunk) | sign, dtype=np.uint32).view(np.float32)
+                want, want_cdf = gelu_oracle(x)
+                out, cdf = T._gelu32(x, keep_cdf=True)
+                assert_bit_equal(out, want)
+                assert_bit_equal(cdf, want_cdf)
+
     @pytest.mark.slow
     def test_all_float32_bit_patterns(self):
         chunk = 1 << 22

@@ -228,6 +228,9 @@ def oracle_parse_clip(blob):
     pos += 10
     if version != R.VERSION:
         raise FormatError(f"unsupported clip version {version}", offset=4)
+    for size, name, at in ((h, "rows", 6), (w, "columns", 8), (c, "channels", 12)):
+        if size == 0:
+            raise FormatError(f"clip has 0 {name}", offset=at)
     try:
         (cap_len,) = struct.unpack_from("<I", blob, pos)
     except struct.error:
@@ -285,14 +288,16 @@ class TestClipFormat:
         assert ei.value.offset is not None
 
     def test_read_errors_match_whole_file_reader(self, tmp_path):
-        # every truncation and a bad version, caption or magic fails with the
-        # same error, message and offset as the reader that parsed one blob
+        # every truncation and a bad version, caption, magic or frame size
+        # (0 rows, columns or channels) fails with the same error, message and
+        # offset as the reader that parsed one blob
         path = tmp_path / "a.toyr"
         R.write_clip(self._record(), path)
         blob = path.read_bytes()
         cases = [blob[:n] for n in range(len(blob) - 3)]  # last frames truncated
         cases += [blob[:4] + b"\x02" + blob[5:], blob[:18] + b"\xff" + blob[19:],
                   b"TOY", blob[:28] + b"\xc3" + blob[29:]]
+        cases += [blob[:at] + bytes(n) + blob[at + n:] for at, n in ((6, 2), (8, 2), (12, 1))]
         for k, case in enumerate(cases):
             path.write_bytes(case)
             with pytest.raises(FormatError) as got:
@@ -319,6 +324,14 @@ class TestClipFormat:
                                 rec.commands, [rec.frames[:4], rec.frames[4:-1]])
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.toyr"]
+
+    @pytest.mark.parametrize("frame_shape", [(0, 16, 24), (3, 0, 24), (3, 16, 0)])
+    def test_empty_frame_shape_rejected(self, tmp_path, frame_shape):
+        path = tmp_path / "a.toyr"
+        with pytest.raises(ContractError, match="at least 1"):
+            R.write_clip_chunks(path, frame_shape, 10, "road", np.zeros(1, np.uint8),
+                                [np.zeros((1, *frame_shape), np.uint8)])
+        assert not path.exists()
 
     def test_chunked_write_equals_whole_write(self, tmp_path):
         rec = self._record()

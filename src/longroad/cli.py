@@ -151,17 +151,10 @@ def cmd_rollout(args) -> int:
                                   guidance_scale=cfg["rollout"]["guidance_scale"])
     cmd_code = {"straight": R.STRAIGHT, "left": R.LEFT, "right": R.RIGHT}[args.direction]
 
-    def condition(height, width):
-        if args.caption is None:
-            return None
-        return ConditionSet(text_tokens=R.encode_caption(args.caption),
-                            command_ids=np.full(l_window, cmd_code, dtype=np.int64),
-                            fps=float(fps), height=float(height), width=float(width))
-
-    rng = rng_for(args.seed, "sampler")
-    if args.cond == "none":
-        head = None
+    if args.cond == "none":  # text-only: the first chunk is a whole clip
         frame_shape = (cfg["model"]["channels"], cfg["data"]["height"], cfg["data"]["width"])
+        state = RO.RolloutState(frames=np.empty((0, *frame_shape), dtype=np.float32),
+                                m_memory=m_memory, fps=fps, iteration=0)
     else:
         record = R.read_clip(args.cond)
         if record.frames.shape[0] != m_memory:
@@ -169,39 +162,32 @@ def cmd_rollout(args) -> int:
                 f"condition clip has {record.frames.shape[0]} frames, "
                 f"rollout memory expects exactly {m_memory}"
             )
-        head = R.to_model_space(record.frames)
-        frame_shape = head.shape[1:]
-    cond = condition(frame_shape[1], frame_shape[2])
-
-    def sampled():
-        """Each sampled chunk's new frames; a text-only start's first chunk
-        is the bootstrap clip."""
-        if head is None:
-            state = RO.bootstrap(model, schedule, cond, settings, m_memory,
-                                 frame_shape, fps, rng)
-            yield state.frames
-            yield from RO.chunks(state, model, schedule, cond, settings,
-                                 args.iters - 1, rng)
-        else:
-            yield from RO.chunks(RO.init(head, fps), model, schedule, cond, settings,
-                                 args.iters, rng)
+        state = RO.init(R.to_model_space(record.frames), fps)
+        frame_shape = state.frames.shape[1:]
+    cond = None
+    if args.caption is not None:
+        cond = ConditionSet(text_tokens=R.encode_caption(args.caption),
+                            command_ids=np.full(l_window, cmd_code, dtype=np.int64),
+                            fps=float(fps), height=float(frame_shape[1]),
+                            width=float(frame_shape[2]))
 
     def pixel_chunks(log):
         """The condition frames, then each sampled chunk, as pixels; one log
         line per sampled chunk. Between chunks only the rollout memory is held."""
         ref = last = None
         written = 0
-        if head is not None:
-            ref = R.to_pixel_space(head)
+        if len(state.frames):
+            ref = R.to_pixel_space(state.frames)
             yield ref
             written, last = len(ref), ref[-1]
         start = time.perf_counter()
-        for index, frames in enumerate(sampled()):
+        for index, frames in enumerate(RO.chunks(state, model, schedule, cond, settings,
+                                                 args.iters, rng_for(args.seed, "sampler"))):
             seconds = time.perf_counter() - start
             pixels = R.to_pixel_space(frames)
             yield pixels
             written += len(pixels)
-            if ref is None:  # a text-only start: the bootstrap's first M frames
+            if ref is None:  # a text-only start: the first chunk's first M frames
                 ref = pixels[:m_memory]
             log.write(json.dumps(_chunk_record(index, written, seconds, settings.steps,
                                                ref, last, pixels, frames)) + "\n")
@@ -233,7 +219,7 @@ def _chunk_record(index, written, seconds, steps, ref, last, pixels, frames) -> 
     text-only start's first chunk), `within` the mean |difference| of
     consecutive frames inside the chunk, and the drifts compare the chunk's
     pixel mean and std with the reference frames (the condition clip, or the
-    bootstrap chunk's first M frames)."""
+    first chunk's first M frames)."""
     px = pixels.astype(np.float64)
     seam = None if last is None else float(np.abs(px[0] - last).mean())
     within = float(np.abs(np.diff(px, axis=0)).mean()) if len(px) > 1 else None

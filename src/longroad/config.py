@@ -93,7 +93,7 @@ def _validate(cfg: dict) -> list[str]:
         except ConfigError as e:
             problems.append(f"{section}: {e}")
     model, data, train, rollout = (cfg[s] for s in ("model", "data", "train", "rollout"))
-    for section in ("data", "rollout"):
+    for section in ("model", "data", "rollout"):
         for key, limit in HEADER_LIMITS.items():
             if cfg[section].get(key, 0) > limit:
                 problems.append(f"{section}.{key} must be <= {limit} to fit the clip "

@@ -3,9 +3,9 @@
 Each iteration samples one clip whose memory segment is pinned to the last M
 generated frames, then appends the L - M new frames. The buffer is
 append-only: emitted frames are never revisited, and the overlap between
-consecutive chunks is bit-equal by construction. A text-only start (no
-condition frames) bootstraps by sampling one clip with every frame treated as
-future, then rolls out normally.
+consecutive chunks is bit-equal by construction. A text-only start is a state
+with an empty buffer: its first chunk is a whole clip with every frame treated
+as future (M = 0), and every later chunk pins the last M frames as usual.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import ConditionSet, RopePlan
+# sample_future_only is not called here: perfbench's tracer patches it by name
 from .diffusion import FramePartition, NoiseSchedule, sample_clip, sample_future_only
 from .errors import ContractError
 
@@ -51,45 +52,44 @@ def init(condition: np.ndarray, fps: int) -> RolloutState:
 def bootstrap(model, schedule: NoiseSchedule, cond: ConditionSet | None,
               settings: SamplerSettings, m_memory: int, frame_shape: tuple,
               fps: int, rng: np.random.Generator) -> RolloutState:
-    """Text-only start: sample a whole first chunk with no pinned frames.
+    """Text-only start: the first chunk of `chunks` from an empty buffer.
 
     The returned state counts as one completed iteration, so the frame-count
     law M + k (L - M) holds with k including the bootstrap chunk.
     """
-    l = settings.l_window
-    if not 1 <= m_memory < l:
-        raise ContractError(f"need 1 <= M < L, got M={m_memory}, L={l}")
-    plan = RopePlan(np.arange(l))
-    chunk = sample_future_only(model, l, frame_shape, schedule, settings.steps,
-                               rng, cond=cond, plan=plan,
-                               guidance_scale=settings.guidance_scale)
-    return RolloutState(frames=chunk, m_memory=m_memory, fps=fps, iteration=1)
+    empty = RolloutState(frames=np.empty((0, *frame_shape), dtype=np.float32),
+                         m_memory=m_memory, fps=fps, iteration=0)
+    (clip,) = chunks(empty, model, schedule, cond, settings, 1, rng)
+    return RolloutState(frames=clip, m_memory=m_memory, fps=fps, iteration=1)
 
 
 def chunks(state: RolloutState, model, schedule: NoiseSchedule,
            cond: ConditionSet | None, settings: SamplerSettings, k_iterations: int,
            rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Yield the L - M new frames of each of k further iterations. Between
-    chunks only the last M frames are held, so memory does not grow with k;
-    the yielded arrays are the caller's to keep."""
+    """Yield the new frames of each of k further iterations: L - M frames
+    each, except that from an empty buffer the first iteration samples and
+    yields a whole L-frame clip. Between chunks only the last M frames are
+    held, so memory does not grow with k; the yielded arrays are the caller's
+    to keep."""
     if k_iterations < 0:
         raise ContractError(f"iteration count must be >= 0, got {k_iterations}")
     l, m = settings.l_window, state.m_memory
-    if l <= m:
-        raise ContractError(f"model window L={l} must exceed memory M={m}")
-    if state.frames.shape[0] < m:
+    if not 1 <= m < l:
+        raise ContractError(f"need 1 <= M < L, got M={m}, L={l}")
+    if 0 < state.frames.shape[0] < m:
         raise ContractError("buffer shorter than the memory window")
-    partition = FramePartition(l, m)
     plan = RopePlan(np.arange(l))
     memory = np.ascontiguousarray(state.frames[-m:])
     for _ in range(k_iterations):
-        clip = sample_clip(model, memory, partition, schedule, settings.steps, rng,
-                           cond=cond, plan=plan, guidance_scale=settings.guidance_scale)
-        if clip[:m].tobytes() != memory.tobytes():
+        pinned = len(memory)  # 0 only for an empty buffer's first chunk
+        clip = sample_clip(model, memory, FramePartition(l, pinned), schedule,
+                           settings.steps, rng, cond=cond, plan=plan,
+                           guidance_scale=settings.guidance_scale)
+        if clip[:pinned].tobytes() != memory.tobytes():
             raise ContractError("sampler violated the memory pinning contract")
         # the buffer's tail is the clip's tail: its first M rows equal the old memory
         memory = clip[l - m:].copy()
-        yield clip[m:]
+        yield clip[pinned:]
 
 
 def step(state: RolloutState, model, schedule: NoiseSchedule,

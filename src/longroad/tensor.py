@@ -97,9 +97,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -151,52 +148,8 @@ class Tensor:
                 node._backward(node.grad)
                 node.grad = None  # only leaves keep gradients; frees the tape early
 
-    # -- operator sugar ----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return slice_(self, idx)
-
-    def sum(self, axes=None, keepdims=False):
-        return reduce_sum(self, axes, keepdims)
-
-    def mean(self, axes=None, keepdims=False):
-        return reduce_mean(self, axes, keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
 
 def _coerce(x, dtype) -> Tensor:

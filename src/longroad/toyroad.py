@@ -29,8 +29,9 @@ from .seeding import rng_for
 
 MAGIC = b"TOYR"
 VERSION = 1
-# largest value each header field can hold (H, W and L are u16, fps is u8)
-HEADER_LIMITS = {"height": 0xFFFF, "width": 0xFFFF, "frames": 0xFFFF, "fps": 0xFF}
+# largest value each header field can hold (H, W and L are u16, C and fps u8)
+HEADER_LIMITS = {"height": 0xFFFF, "width": 0xFFFF, "frames": 0xFFFF, "channels": 0xFF,
+                 "fps": 0xFF}
 CHANNELS = 3
 
 STRAIGHT, LEFT, RIGHT = 0, 1, 2
@@ -298,6 +299,9 @@ def write_clip_chunks(path, frame_shape, fps: int, caption: str, commands,
 
 
 def read_clip(path) -> ClipRecord:
+    def bad(message, offset):  # a malformed clip's error names its file
+        return FormatError(f"clip {path}: {message}", offset=offset)
+
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -305,38 +309,38 @@ def read_clip(path) -> ClipRecord:
     with f:
         magic = f.read(4)
         if magic != MAGIC:
-            raise FormatError(f"bad clip magic {magic!r}, expected {MAGIC!r}", offset=0)
+            raise bad(f"bad clip magic {magic!r}, expected {MAGIC!r}", 0)
         pos = 4
         try:
             version, h, w, l, c, fps = struct.unpack("<HHHHBB", f.read(10))
         except struct.error:
-            raise FormatError("truncated clip header", offset=pos)
+            raise bad("truncated clip header", pos)
         pos += 10
         if version != VERSION:
-            raise FormatError(f"unsupported clip version {version}", offset=4)
+            raise bad(f"unsupported clip version {version}", 4)
         for size, name, at in ((h, "rows", 6), (w, "columns", 8), (c, "channels", 12)):
             if size == 0:
-                raise FormatError(f"clip has 0 {name}", offset=at)
+                raise bad(f"clip has 0 {name}", at)
         try:
             (cap_len,) = struct.unpack("<I", f.read(4))
         except struct.error:
-            raise FormatError("truncated caption length", offset=pos)
+            raise bad("truncated caption length", pos)
         pos += 4
         raw = f.read(cap_len)
         if len(raw) < cap_len:
-            raise FormatError("truncated caption", offset=pos)
+            raise bad("truncated caption", pos)
         try:
             caption = raw.decode("utf-8")
         except UnicodeDecodeError as e:
-            raise FormatError("caption is not valid UTF-8", offset=pos + e.start)
+            raise bad("caption is not valid UTF-8", pos + e.start)
         pos += cap_len
         commands = np.frombuffer(f.read(l), dtype=np.uint8)
         if commands.shape[0] < l:
-            raise FormatError("truncated command track", offset=pos)
+            raise bad("truncated command track", pos)
         pos += l
         need = l * c * h * w
         if os.fstat(f.fileno()).st_size - pos < need:
-            raise FormatError(f"truncated pixel payload, need {need} bytes", offset=pos)
+            raise bad(f"truncated pixel payload, need {need} bytes", pos)
         frames = np.fromfile(f, dtype=np.uint8, count=need).reshape(l, c, h, w)
     return ClipRecord(frames=frames, fps=fps, caption=caption, commands=commands.copy())
 

@@ -154,16 +154,13 @@ class RunResult:
 
 
 def run_curriculum(model, dataset, cfg: TrainConfig, out_dir,
-                   log_path=None, meta: ClipMeta | None = None,
-                   progress=None) -> RunResult:
+                   log_path=None, progress=None) -> RunResult:
     """Execute the growing-window phases in order, warm-starting each from the
     previous weights; one checkpoint per phase boundary; JSONL step log."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if meta is None:
-        m = dataset.manifest
-        meta = ClipMeta(fps=m["fps"], base_h=m["height"], base_w=m["width"],
-                        base_l=m["frames"])
+    m = dataset.manifest
+    meta = ClipMeta(fps=m["fps"], base_h=m["height"], base_w=m["width"], base_l=m["frames"])
     schedule = build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
     phases = curriculum_schedule(list(cfg.phase_frames), list(cfg.phase_steps),
                                  cfg.token_budget)

@@ -61,6 +61,11 @@ class TestHelp:
     def test_top_level_help_snapshot(self):
         assert build_parser().format_help() == HELP_SNAPSHOT
 
+    @pytest.mark.parametrize("argv", [[], ["rollout", "--iters", "abc"]])
+    def test_parse_error_exit_one(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestDatagen:
     def test_writes_clips_and_manifest(self, tmp_path):
@@ -119,6 +124,17 @@ class TestTrain:
         rc = main(["train", "--config", str(cfg), "--data", str(data),
                    "--out", str(tmp_path / "run")])
         assert rc == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr 1e30 overflows on purpose
+    def test_diverging_loss_exit_three_names_step(self, tmp_path, capsys):
+        data = datagen(tmp_path)
+        cfg = write_config(tmp_path, {**TINY_CONFIG,
+                                      "train": {**TINY_CONFIG["train"], "lr": 1e30}})
+        rc = main(["train", "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: aborting at step 1 phase 0: non-finite" in err
 
     @pytest.mark.parametrize("manifest, key", [(b"{not json", "manifest"),
                                                (b'{"clips": 2}', "'frames'"),
@@ -282,6 +298,30 @@ class TestRollout:
         assert rc == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_zero_iterations_usage_error(self, tmp_path, capsys):
+        rc = main(["rollout", "--ckpt", str(tmp_path / "m.idck"), "--cond", "none",
+                   "--iters", "0", "--out", str(tmp_path / "x.toyr")])
+        assert rc == 1
+        assert "usage error: --iters must be >= 1" in capsys.readouterr().err
+
+    def test_checkpoint_shape_mismatch_exit_two(self, trained, capsys):
+        # the tiny config's checkpoint has hidden 8; the model here has hidden 16
+        wide = {**TINY_CONFIG, "model": {**TINY_CONFIG["model"], "hidden": 16}}
+        rc = main(["rollout", "--ckpt", trained["ckpt"],
+                   "--config", str(write_config(trained["tmp"], wide)), "--cond", "none",
+                   "--iters", "1", "--out", str(trained["tmp"] / "x.toyr")])
+        assert rc == 2
+        assert "model expects" in capsys.readouterr().err
+
+    def test_malformed_condition_clip_names_file(self, trained, capsys):
+        cond = write_condition(trained["tmp"])
+        cond.write_bytes(cond.read_bytes()[:-1])
+        rc = main(["rollout", "--ckpt", trained["ckpt"], "--config", str(trained["cfg"]),
+                   "--cond", str(cond), "--iters", "1",
+                   "--out", str(trained["tmp"] / "x.toyr")])
+        assert rc == 2
+        assert f"clip {cond}: truncated pixel payload" in capsys.readouterr().err
+
     def test_wrong_condition_length_exit_two(self, trained):
         cond = write_condition(trained["tmp"], frames=6)
         rc = main(["rollout", "--ckpt", trained["ckpt"], "--config",
@@ -332,6 +372,17 @@ class TestEval:
         assert rc == 2
         assert f"byte offset {at}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("side, index", [("gen", 1), ("ref", 2)])
+    def test_malformed_clip_names_file(self, tmp_path, capsys, side, index):
+        dirs = {"gen": datagen(tmp_path, "gen", clips=3, frames=8),
+                "ref": datagen(tmp_path, "ref", clips=3, frames=8, seed=4)}
+        bad = sorted(dirs[side].glob("*.toyr"))[index]
+        bad.write_bytes(bad.read_bytes()[:20])
+        rc = main(["eval", "--gen", str(dirs["gen"]), "--ref", str(dirs["ref"]),
+                   "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert f"data error: clip {bad}: truncated caption" in capsys.readouterr().err
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
         data = datagen(tmp_path)
@@ -468,6 +519,22 @@ def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):
                *argv, "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "rollout", "eval"])
+def test_channels_beyond_clip_header_exit_one(tmp_path, capsys, command):
+    # the clip header stores the channel count in one byte; none of these
+    # paths exist, so an exit 1 means the config was rejected first
+    cfg = write_config(tmp_path, {**TINY_CONFIG,
+                                  "model": {**TINY_CONFIG["model"], "channels": 256}})
+    missing = str(tmp_path / "missing")
+    argv = {"train": ["train", "--data", missing],
+            "rollout": ["rollout", "--ckpt", missing, "--cond", "none", "--iters", "1"],
+            "eval": ["eval", "--gen", missing, "--ref", missing]}[command]
+    rc = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "model.channels must be <= 255" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section", EARLY_CONFIG_ERRORS)

@@ -121,6 +121,29 @@ class TestBootstrap:
         # law: M + k (L - M) with k = 3 including the bootstrap chunk
         assert frames.shape[0] == 2 + 3 * 6
 
+    def test_empty_buffer_starts_with_a_whole_clip(self):
+        # the first chunk from an empty buffer is the M = 0 sample of the
+        # same rng; later chunks add L - M frames
+        model = tiny_model()
+        empty = RO.RolloutState(frames=np.empty((0, 1, 8, 8), np.float32), m_memory=2,
+                                fps=10, iteration=0)
+        got = list(RO.chunks(empty, model, SCHED, None, settings(8), 3,
+                             np.random.default_rng(4)))
+        assert [len(c) for c in got] == [8, 6, 6]
+        want = D.sample_clip(model, np.empty((0, 1, 8, 8), np.float32), D.FramePartition(8, 0),
+                             SCHED, 3, np.random.default_rng(4), plan=B.RopePlan(np.arange(8)))
+        assert got[0].tobytes() == want.tobytes()
+        boot = RO.bootstrap(model, SCHED, None, settings(8), 2, (1, 8, 8), 10,
+                            np.random.default_rng(4))
+        assert boot.frames.tobytes() == want.tobytes()
+
+    def test_buffer_shorter_than_memory_rejected(self):
+        short = RO.RolloutState(frames=np.zeros((1, 1, 8, 8), np.float32), m_memory=2,
+                                fps=10, iteration=0)
+        with pytest.raises(ContractError, match="shorter than the memory window"):
+            next(RO.chunks(short, tiny_model(), SCHED, None, settings(8), 1,
+                           np.random.default_rng(0)))
+
 
 class _ContinuationOracle:
     """Denoiser stub that knows the true scene continuation; infers which

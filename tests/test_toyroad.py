@@ -215,40 +215,43 @@ class TestCaptions:
             R.encode_caption("front camera. quasar.")
 
 
-def oracle_parse_clip(blob):
+def oracle_parse_clip(blob, path):
     """The reader that parsed a whole-file blob, kept as the reference for
-    error messages and offsets."""
+    error messages and offsets. Every message names the clip's `path`."""
+    def bad(message, offset):
+        return FormatError(f"clip {path}: {message}", offset=offset)
+
     if blob[:4] != R.MAGIC:
-        raise FormatError(f"bad clip magic {blob[:4]!r}, expected {R.MAGIC!r}", offset=0)
+        raise bad(f"bad clip magic {blob[:4]!r}, expected {R.MAGIC!r}", 0)
     pos = 4
     try:
         version, h, w, l, c, fps = struct.unpack_from("<HHHHBB", blob, pos)
     except struct.error:
-        raise FormatError("truncated clip header", offset=pos)
+        raise bad("truncated clip header", pos)
     pos += 10
     if version != R.VERSION:
-        raise FormatError(f"unsupported clip version {version}", offset=4)
+        raise bad(f"unsupported clip version {version}", 4)
     for size, name, at in ((h, "rows", 6), (w, "columns", 8), (c, "channels", 12)):
         if size == 0:
-            raise FormatError(f"clip has 0 {name}", offset=at)
+            raise bad(f"clip has 0 {name}", at)
     try:
         (cap_len,) = struct.unpack_from("<I", blob, pos)
     except struct.error:
-        raise FormatError("truncated caption length", offset=pos)
+        raise bad("truncated caption length", pos)
     pos += 4
     if pos + cap_len > len(blob):
-        raise FormatError("truncated caption", offset=pos)
+        raise bad("truncated caption", pos)
     try:
         blob[pos:pos + cap_len].decode("utf-8")
     except UnicodeDecodeError as e:
-        raise FormatError("caption is not valid UTF-8", offset=pos + e.start)
+        raise bad("caption is not valid UTF-8", pos + e.start)
     pos += cap_len
     if pos + l > len(blob):
-        raise FormatError("truncated command track", offset=pos)
+        raise bad("truncated command track", pos)
     pos += l
     need = l * c * h * w
     if pos + need > len(blob):
-        raise FormatError(f"truncated pixel payload, need {need} bytes", offset=pos)
+        raise bad(f"truncated pixel payload, need {need} bytes", pos)
 
 
 class TestClipFormat:
@@ -303,7 +306,7 @@ class TestClipFormat:
             with pytest.raises(FormatError) as got:
                 R.read_clip(path)
             with pytest.raises(FormatError) as want:
-                oracle_parse_clip(case)
+                oracle_parse_clip(case, path)
             assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset), k
 
     def test_failed_write_leaves_old_clip(self, tmp_path):

@@ -166,27 +166,27 @@ class TestCurriculumRun:
         cfg = tiny_cfg(phase_frames=(8, 16), phase_steps=(2, 2), token_budget=16)
         model = tiny_model(seed=3)
         res = TR.run_curriculum(model, dataset, cfg, tmp_path / "a",
-                                log_path=tmp_path / "a.log", meta=META)
+                                log_path=tmp_path / "a.log")
         assert len(res.checkpoints) == 2
         assert res.checkpoints[0].name == "phase_0008.idck"
 
         # phase 0 of a two-phase run equals a single-phase run with the same seed
         model_b = tiny_model(seed=3)
         cfg_b = tiny_cfg(phase_frames=(8,), phase_steps=(2,), token_budget=16)
-        res_b = TR.run_curriculum(model_b, dataset, cfg_b, tmp_path / "b", meta=META)
+        res_b = TR.run_curriculum(model_b, dataset, cfg_b, tmp_path / "b")
         assert res.checkpoints[0].read_bytes() == res_b.checkpoints[0].read_bytes()
 
     def test_same_seed_identical_loss_curves(self, dataset, tmp_path):
         cfg = tiny_cfg(phase_steps=(3,))
-        res_1 = TR.run_curriculum(tiny_model(seed=7), dataset, cfg, tmp_path / "r1", meta=META)
-        res_2 = TR.run_curriculum(tiny_model(seed=7), dataset, cfg, tmp_path / "r2", meta=META)
+        res_1 = TR.run_curriculum(tiny_model(seed=7), dataset, cfg, tmp_path / "r1")
+        res_2 = TR.run_curriculum(tiny_model(seed=7), dataset, cfg, tmp_path / "r2")
         assert [r["loss"] for r in res_1.history] == [r["loss"] for r in res_2.history]
 
     def test_log_line_count_is_steps_plus_boundaries(self, dataset, tmp_path):
         cfg = tiny_cfg(phase_frames=(8, 16), phase_steps=(2, 3), token_budget=16)
         log = tmp_path / "run.log"
         res = TR.run_curriculum(tiny_model(), dataset, cfg, tmp_path / "ckpt",
-                                log_path=log, meta=META)
+                                log_path=log)
         lines = [json.loads(x) for x in log.read_text().splitlines()]
         assert len(lines) == (2 + 3) + 2
         # transitions land exactly at the configured step budgets
@@ -196,7 +196,7 @@ class TestCurriculumRun:
         # a model trained on 8-frame windows accepts a 16-frame input
         cfg = tiny_cfg()
         model = tiny_model()
-        TR.run_curriculum(model, dataset, cfg, tmp_path / "c", meta=META)
+        TR.run_curriculum(model, dataset, cfg, tmp_path / "c")
         xt = np.zeros((16, 3, 16, 24), dtype=np.float32)
         pred = model.forward(xt, np.zeros(16, dtype=np.int64), None,
                              B.RopePlan(np.arange(16)))

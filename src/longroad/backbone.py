@@ -117,9 +117,9 @@ def unpatchify(tokens: Tensor, patch: int, channels: int, h: int, w: int) -> Ten
     return T.reshape(x, (l, channels, h, w))
 
 
-def sinusoidal_embedding(pos: np.ndarray, dim: int, max_period: float = 10000.0) -> np.ndarray:
+def sinusoidal_embedding(pos: np.ndarray, dim: int) -> np.ndarray:
     half = dim // 2
-    freqs = np.exp(-np.log(max_period) * np.arange(half, dtype=np.float64) / half)
+    freqs = np.exp(-np.log(10000.0) * np.arange(half, dtype=np.float64) / half)
     args = np.asarray(pos, dtype=np.float64)[:, None] * freqs[None, :]
     return np.concatenate([np.cos(args), np.sin(args)], axis=-1)
 
@@ -214,29 +214,26 @@ class SpaceTimeBlock(Module):
         mods = T.reshape(self.mod(c_mod), (-1, 12, self.hidden))  # (L, 12, H)
         return [mods[:, i:i + 1] for i in range(12)]               # each (L, 1, H)
 
-    def _mod_norm(self, x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
-        return T.modulated_norm(x, shift, scale, 1e-6)
-
     def spatial_step(self, x: Tensor, mods: list[Tensor]) -> Tensor:
         shift, scale, gate = mods[0], mods[1], mods[2]
-        h = self._mod_norm(x, shift, scale)
+        h = T.modulated_norm(x, shift, scale)
         return T.gated_residual(x, gate, self.spatial_attn(h, h))
 
     def temporal_step(self, x: Tensor, mods: list[Tensor], rope) -> Tensor:
         shift, scale, gate = mods[3], mods[4], mods[5]
-        h = self._mod_norm(x, shift, scale)
+        h = T.modulated_norm(x, shift, scale)
         ht = T.transpose(h, (1, 0, 2))               # (S, L, hidden)
         out = T.transpose(self.temporal_attn(ht, ht, rope), (1, 0, 2))
         return T.gated_residual(x, gate, out)
 
     def cross_step(self, x: Tensor, mods: list[Tensor], cond_kv: Tensor) -> Tensor:
         shift, scale, gate = mods[6], mods[7], mods[8]
-        h = self._mod_norm(x, shift, scale)
+        h = T.modulated_norm(x, shift, scale)
         return T.gated_residual(x, gate, self.cross_attn(h, cond_kv))
 
     def mlp_step(self, x: Tensor, mods: list[Tensor]) -> Tensor:
         shift, scale, gate = mods[9], mods[10], mods[11]
-        h = self._mod_norm(x, shift, scale)
+        h = T.modulated_norm(x, shift, scale)
         return T.gated_residual(x, gate, self.mlp(h))
 
     def __call__(self, x: Tensor, c_mod: Tensor, cond_kv: Tensor, rope) -> Tensor:
@@ -277,7 +274,7 @@ class VideoDenoiser(Module):
         if cond is None or cond.null_flag:
             null = self.null_embed(np.zeros(1, dtype=np.int64))     # (1, hidden)
             null = T.reshape(null, (1, 1, self.cfg.hidden))
-            return T.concat([null] * l, axis=0) if l > 1 else null
+            return T.concat([null] * l, axis=0)
         if cond.text_tokens.size and cond.text_tokens.max() >= self.cfg.text_vocab:
             raise ContractError(
                 f"token id {int(cond.text_tokens.max())} outside vocab {self.cfg.text_vocab}"
@@ -289,7 +286,7 @@ class VideoDenoiser(Module):
         text = self.text_embed(cond.text_tokens)                    # (N, hidden)
         n = text.shape[0]
         text_all = T.reshape(text, (1, n, self.cfg.hidden))
-        text_all = T.concat([text_all] * l, axis=0) if l > 1 else text_all
+        text_all = T.concat([text_all] * l, axis=0)
         cmd = self.command_embed(cond.command_ids)                  # (L, hidden)
         cmd = T.reshape(cmd, (l, 1, self.cfg.hidden))
         return T.concat([text_all, cmd], axis=1)                    # (L, N+1, hidden)
@@ -333,7 +330,7 @@ class VideoDenoiser(Module):
         fm = self.final_mod(c_mod)                                   # (L, 2H)
         shift = T.reshape(fm[:, :cfg.hidden], (l, 1, cfg.hidden))
         scale = T.reshape(fm[:, cfg.hidden:], (l, 1, cfg.hidden))
-        x = T.modulated_norm(x, shift, scale, 1e-6)
+        x = T.modulated_norm(x, shift, scale)
         out = self.head(x)                                           # (L, S, 2*p*p*C)
         full = unpatchify(out, cfg.patch, 2 * cfg.channels, h, w)    # (L, 2C, H, W)
         eps_hat = full[:, :cfg.channels]

@@ -3,17 +3,12 @@ autoregressive rollout, and metric reports.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure.
 Every command is deterministic given its seed, its configuration and the BLAS
-thread count (outputs are byte-identical only at a fixed count; `WM_THREADS`
-caps it); JSON outputs embed the configuration hash.
+thread count (outputs are byte-identical only at a fixed count, which
+`OPENBLAS_NUM_THREADS` or `OMP_NUM_THREADS` sets); JSON outputs embed the
+configuration hash.
 """
 
 from __future__ import annotations
-
-import os
-
-if "WM_THREADS" in os.environ:  # cap BLAS parallelism; must precede numpy load
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, os.environ["WM_THREADS"])
 
 import argparse
 import json
@@ -154,7 +149,7 @@ def cmd_rollout(args) -> int:
     if args.cond == "none":  # text-only: the first chunk is a whole clip
         frame_shape = (cfg["model"]["channels"], cfg["data"]["height"], cfg["data"]["width"])
         state = RO.RolloutState(frames=np.empty((0, *frame_shape), dtype=np.float32),
-                                m_memory=m_memory, fps=fps, iteration=0)
+                                m_memory=m_memory, fps=fps)
     else:
         record = R.read_clip(args.cond)
         if record.frames.shape[0] != m_memory:
@@ -164,12 +159,13 @@ def cmd_rollout(args) -> int:
             )
         state = RO.init(R.to_model_space(record.frames), fps)
         frame_shape = state.frames.shape[1:]
-    cond = None
-    if args.caption is not None:
-        cond = ConditionSet(text_tokens=R.encode_caption(args.caption),
-                            command_ids=np.full(l_window, cmd_code, dtype=np.int64),
-                            fps=float(fps), height=float(frame_shape[1]),
-                            width=float(frame_shape[2]))
+    # without a caption, the null condition that training's dropout shows the
+    # model, at the rollout's fps and frame size
+    tokens = [] if args.caption is None else R.encode_caption(args.caption)
+    cond = ConditionSet(text_tokens=tokens,
+                        command_ids=np.full(l_window, cmd_code, dtype=np.int64),
+                        fps=float(fps), height=float(frame_shape[1]),
+                        width=float(frame_shape[2]), null_flag=args.caption is None)
 
     def pixel_chunks(log):
         """The condition frames, then each sampled chunk, as pixels; one log

@@ -111,7 +111,8 @@ def _validate(cfg: dict) -> list[str]:
         problems.append(f"rollout.steps ({rollout['steps']}) must be <= train.t_max "
                         f"({train['t_max']})")
     try:  # the curriculum's own rules (TrainConfig checks the step budgets)
-        for phase in curriculum_schedule(train["phase_frames"], 1, train["token_budget"]):
+        for phase in curriculum_schedule(train["phase_frames"], [1] * len(train["phase_frames"]),
+                                         train["token_budget"]):
             for alpha in train["alpha_set"]:
                 window_memory(phase.frames, alpha, train["memory_span_d"])
     except ConfigError as e:

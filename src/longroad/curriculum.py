@@ -105,8 +105,6 @@ def curriculum_schedule(targets, steps, token_budget: int) -> list[CurriculumPha
         raise ConfigError("need at least one phase window length")
     if any(b <= a for a, b in zip(targets, targets[1:])) or any(t < 1 for t in targets):
         raise ConfigError(f"phase windows must be positive ascending, got {targets}")
-    if isinstance(steps, int):
-        steps = [steps] * len(targets)
     if len(steps) != len(targets):
         raise ConfigError(f"{len(targets)} phase windows but {len(steps)} step budgets")
     if token_budget < targets[0]:
@@ -127,17 +125,20 @@ class TrainingExample:
 
 
 def next_batch(phase: CurriculumPhase, dataset: ClipDataset, rng: np.random.Generator,
-               alpha_set, memory_span_d: int, meta: ClipMeta) -> TrainingExample:
+               alpha_set, memory_span_d: int) -> TrainingExample:
     """One training example: scaled render, strided frame selection, memory
     partition, and the matching position plan / condition."""
-    if dataset.base_frames < phase.frames:
+    man = dataset.manifest
+    meta = ClipMeta(fps=man["fps"], base_h=man["height"], base_w=man["width"],
+                    base_l=man["frames"])
+    if meta.base_l < phase.frames:
         raise DataError(
-            f"dataset clips have {dataset.base_frames} frames, phase needs {phase.frames}"
+            f"dataset clips have {meta.base_l} frames, phase needs {phase.frames}"
         )
     draw = draw_density(rng, meta, alpha_set, phase.frames)
     m = window_memory(phase.frames, draw.alpha, memory_span_d)
     clip_index = int(rng.integers(0, len(dataset)))
-    window_start = int(rng.integers(0, dataset.base_frames - phase.frames + 1))
+    window_start = int(rng.integers(0, meta.base_l - phase.frames + 1))
 
     # to_model_space is elementwise, so converting the selected frames gives
     # the bytes of selecting from the converted clip

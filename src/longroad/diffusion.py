@@ -27,15 +27,12 @@ class NoiseSchedule:
     tables are float64; consumers cast as needed.
     """
 
-    def __init__(self, betas: np.ndarray, require_monotonic: bool = True):
+    def __init__(self, betas: np.ndarray):
         betas = np.asarray(betas, dtype=np.float64)
         if betas.ndim != 1 or betas.shape[0] < 1:
             raise ConfigError("need a 1-D beta table with at least one entry")
         if np.any(betas <= 0) or np.any(betas >= 1):
             raise ConfigError("beta values must lie strictly within (0, 1)")
-        # respaced subsets may wobble slightly from stride rounding
-        if require_monotonic and not np.all(np.diff(betas) >= 0):
-            raise ConfigError("beta table must be nondecreasing within (0, 1)")
         self.t_max = int(betas.shape[0])
         self.beta = np.concatenate([[0.0], betas])
         self.alpha = 1.0 - self.beta
@@ -50,8 +47,7 @@ class NoiseSchedule:
         self.posterior_log_variance_clipped = np.concatenate([[0.0], np.log(clipped[1:])])
 
 
-def build_schedule(t_max: int = 1000, beta_start: float = 1e-4,
-                   beta_end: float = 0.02) -> NoiseSchedule:
+def build_schedule(t_max: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linear beta interpolation, endpoints inclusive."""
     if t_max < 1:
         raise ConfigError(f"t_max must be >= 1, got {t_max}")
@@ -59,8 +55,6 @@ def build_schedule(t_max: int = 1000, beta_start: float = 1e-4,
         raise ConfigError(
             f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]"
         )
-    if t_max == 1:
-        return NoiseSchedule(np.array([beta_start]))
     return NoiseSchedule(np.linspace(beta_start, beta_end, t_max, dtype=np.float64))
 
 
@@ -103,7 +97,6 @@ class DenoisePrediction:
 
 @dataclass(frozen=True)
 class LossWeights:
-    lam: float
     weights: np.ndarray  # (L - M,) float64, weights[0] == 1
 
 
@@ -124,7 +117,7 @@ def loss_weights_for(partition: FramePartition, lam: float) -> LossWeights:
     if lam < 0:
         raise ContractError(f"decay rate must be >= 0, got {lam}")
     t_norm = np.zeros(f) if f == 1 else np.arange(f, dtype=np.float64) / (f - 1)
-    return LossWeights(lam=lam, weights=np.exp(-lam * t_norm))
+    return LossWeights(weights=np.exp(-lam * t_norm))
 
 
 def sample_timesteps(rng: np.random.Generator, partition: FramePartition,
@@ -171,12 +164,11 @@ def make_batch(x0: np.ndarray, partition: FramePartition, schedule: NoiseSchedul
 # -- losses ---------------------------------------------------------------------
 
 
-def mse_loss(eps: np.ndarray | Tensor, eps_hat: Tensor) -> Tensor:
+def mse_loss(eps: np.ndarray, eps_hat: Tensor) -> Tensor:
     """Per-frame mean squared error over channels and pixels. Returns (F,)."""
-    target = eps if isinstance(eps, Tensor) else Tensor(eps)
-    if target.shape != eps_hat.shape:
-        raise ShapeError(f"eps shape {target.shape} != prediction shape {eps_hat.shape}")
-    diff = T.sub(eps_hat, target)
+    if eps.shape != eps_hat.shape:
+        raise ShapeError(f"eps shape {eps.shape} != prediction shape {eps_hat.shape}")
+    diff = T.sub(eps_hat, Tensor(eps))
     return T.reduce_mean(T.mul(diff, diff), axes=tuple(range(1, eps_hat.ndim)))
 
 
@@ -221,20 +213,19 @@ def gaussian_kl(mu_q, var_q, mu_p, log_var_p: Tensor) -> Tensor:
     return T.sub(T.add(half_logs, ratio), 0.5)
 
 
-def vb_loss(pred: DenoisePrediction | tuple, x0: np.ndarray, xt: np.ndarray, t,
+def vb_loss(pred: tuple[Tensor, Tensor], x0: np.ndarray, xt: np.ndarray, t,
             schedule: NoiseSchedule) -> Tensor:
     """Per-frame variational term: KL between the true posterior and the
     model's reverse Gaussian. The model mean uses the gradient-stopped noise
     prediction, so only the variance interpolation learns here. Returns (F,).
     """
-    eps_hat, v_hat = (pred.eps_hat, pred.v_hat) if isinstance(pred, DenoisePrediction) else pred
+    eps_hat, v_hat = pred
     t_arr = np.asarray(t)
     if np.any(t_arr < 1):
         raise ContractError("variational term is undefined at t = 0")
 
-    eps_const = eps_hat.data if isinstance(eps_hat, Tensor) else np.asarray(eps_hat)
     abar = _table_at(schedule.alpha_bar, t_arr, x0.ndim)
-    x0_hat = (xt - np.sqrt(1.0 - abar) * eps_const) / np.sqrt(abar)
+    x0_hat = (xt - np.sqrt(1.0 - abar) * eps_hat.data) / np.sqrt(abar)
     mu_q, _ = posterior_params(x0, xt, t, schedule)
     mu_p, _ = posterior_params(x0_hat, xt, t, schedule)
 
@@ -299,7 +290,7 @@ def respaced_schedule(schedule: NoiseSchedule, subset: np.ndarray) -> NoiseSched
     asc = np.sort(np.asarray(subset))
     abar = schedule.alpha_bar[asc]
     prev = np.concatenate([[1.0], abar[:-1]])
-    return NoiseSchedule(1.0 - abar / prev, require_monotonic=False)
+    return NoiseSchedule(1.0 - abar / prev)
 
 
 def sample_clip(model, memory: np.ndarray, partition: FramePartition,
@@ -311,9 +302,9 @@ def sample_clip(model, memory: np.ndarray, partition: FramePartition,
     `model.forward(xt, t, cond, plan)` returns a DenoisePrediction over all
     frames. The x0 estimate is clipped to [-1, 1]. Classifier-free guidance
     runs a second forward with `cond.nulled()`, the condition training's
-    dropout shows the model, only when `guidance_scale != 1.0` and there is a
-    condition: without one both predictions are the same and guidance is a
-    no-op.
+    dropout shows the model, only when `guidance_scale != 1.0` and the
+    condition is not already null: for an absent or null condition both
+    predictions are the same and guidance is a no-op.
     """
     m = partition.m_memory
     if memory.shape[0] != m:
@@ -325,7 +316,8 @@ def sample_clip(model, memory: np.ndarray, partition: FramePartition,
     fut = clip[m:]  # view: every step writes its result back in place
     fut[...] = rng.standard_normal(fut.shape)
     t_vec = np.zeros(partition.l_total, dtype=np.int64)
-    null = cond.nulled() if guidance_scale != 1.0 and cond is not None else None
+    guided = guidance_scale != 1.0 and cond is not None and not cond.null_flag
+    null = cond.nulled() if guided else None
 
     with T.no_grad():
         # step k of the respaced schedule is original timestep subset_desc[-k]

@@ -462,10 +462,10 @@ def feature_stats(feats: np.ndarray) -> FeatureStats:
     return FeatureStats(mu=mu, root=root)
 
 
-def _psd_sqrt(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    if vals.min() < -tol:
-        raise ContractError(f"matrix has eigenvalue {vals.min():.3g} below -{tol}")
+    if vals.min() < -1e-8:
+        raise ContractError(f"matrix has eigenvalue {vals.min():.3g} below -1e-08")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
 

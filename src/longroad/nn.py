@@ -52,18 +52,18 @@ def param(rng: np.random.Generator, shape, std: float, dtype=np.float32) -> Tens
 
 class Linear(Module):
     def __init__(self, rng, d_in: int, d_out: int, dtype=np.float32,
-                 zero_init: bool = False, bias: bool = True):
+                 zero_init: bool = False):
         std = 0.0 if zero_init else (d_in ** -0.5)
         self.w = param(rng, (d_in, d_out), std, dtype)
-        self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.w, self.b)
 
 
 class Embedding(Module):
-    def __init__(self, rng, rows: int, dim: int, dtype=np.float32, std: float = 0.02):
-        self.table = param(rng, (rows, dim), std, dtype)
+    def __init__(self, rng, rows: int, dim: int, dtype=np.float32):
+        self.table = param(rng, (rows, dim), 0.02, dtype)
 
     def __call__(self, indices) -> Tensor:
         return T.gather(self.table, indices)

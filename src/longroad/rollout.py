@@ -24,7 +24,7 @@ from .errors import ContractError
 @dataclass(frozen=True)
 class SamplerSettings:
     l_window: int             # frames per sampled clip
-    steps: int = 50           # reverse-process steps
+    steps: int                # reverse-process steps
     guidance_scale: float = 1.0
 
 
@@ -35,7 +35,6 @@ class RolloutState:
     frames: np.ndarray        # (T, C, H, W) model-space float32
     m_memory: int
     fps: int
-    iteration: int
 
 
 def init(condition: np.ndarray, fps: int) -> RolloutState:
@@ -45,8 +44,7 @@ def init(condition: np.ndarray, fps: int) -> RolloutState:
         raise ContractError(
             f"condition must be (M >= 1, C, H, W), got shape {condition.shape}"
         )
-    return RolloutState(frames=condition.copy(), m_memory=condition.shape[0],
-                        fps=fps, iteration=0)
+    return RolloutState(frames=condition.copy(), m_memory=condition.shape[0], fps=fps)
 
 
 def bootstrap(model, schedule: NoiseSchedule, cond: ConditionSet | None,
@@ -58,9 +56,9 @@ def bootstrap(model, schedule: NoiseSchedule, cond: ConditionSet | None,
     law M + k (L - M) holds with k including the bootstrap chunk.
     """
     empty = RolloutState(frames=np.empty((0, *frame_shape), dtype=np.float32),
-                         m_memory=m_memory, fps=fps, iteration=0)
+                         m_memory=m_memory, fps=fps)
     (clip,) = chunks(empty, model, schedule, cond, settings, 1, rng)
-    return RolloutState(frames=clip, m_memory=m_memory, fps=fps, iteration=1)
+    return RolloutState(frames=clip, m_memory=m_memory, fps=fps)
 
 
 def chunks(state: RolloutState, model, schedule: NoiseSchedule,
@@ -99,8 +97,7 @@ def step(state: RolloutState, model, schedule: NoiseSchedule,
     whose buffer is a fresh array with the new frames appended."""
     (new,) = chunks(state, model, schedule, cond, settings, 1, rng)
     return RolloutState(frames=np.concatenate([state.frames, new], axis=0),
-                        m_memory=state.m_memory, fps=state.fps,
-                        iteration=state.iteration + 1)
+                        m_memory=state.m_memory, fps=state.fps)
 
 
 def run(state: RolloutState, model, schedule: NoiseSchedule,

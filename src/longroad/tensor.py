@@ -510,17 +510,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- fused layers: one tape node each, hand-written backward -----------------------
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`x @ w + b` over the last axis, the leading axes folded into one GEMM."""
     d_in, d_out = w.shape
     out = np.empty(x.shape[:-1] + (d_out,), dtype=np.result_type(x, w))
     np.matmul(x.reshape(-1, d_in), w, out=out.reshape(-1, d_out))
-    if b is not None:
-        out += b
+    out += b
     return out
 
 
-def _affine_backward(x: np.ndarray, w: Tensor, b: Tensor | None, g: np.ndarray,
+def _affine_backward(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray,
                      need_x: bool) -> np.ndarray | None:
     """Accumulate the weight and bias gradients of `_affine(x, w, b)` for the
     output gradient `g`; return the input gradient if `need_x`."""
@@ -532,30 +531,30 @@ def _affine_backward(x: np.ndarray, w: Tensor, b: Tensor | None, g: np.ndarray,
         np.matmul(g2, w.data.T, out=gx.reshape(-1, d_in))
     if w.requires_grad:
         _accum(w, x.reshape(-1, d_in).T @ g2)
-    if b is not None and b.requires_grad:
+    if b.requires_grad:
         _accum(b, g2.sum(axis=0))
     return gx
 
 
-def _check_linear(x_shape: tuple[int, ...], w: Tensor, b: Tensor | None):
+def _check_linear(x_shape: tuple[int, ...], w: Tensor, b: Tensor):
     if w.ndim != 2 or len(x_shape) < 1 or x_shape[-1] != w.shape[0]:
         raise ShapeError(f"linear needs (..., d_in) x (d_in, d_out), got {x_shape} x {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
+    if b.shape != (w.shape[1],):
         raise ShapeError(f"linear bias shape {b.shape} does not match weight {w.shape}")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` over the last axis of `x`. Leading axes fold into one 2-D
     GEMM, forward and backward, so the weight gradient is `x2ᵀ @ g2`."""
     _check_linear(x.shape, w, b)
-    out = _affine(x.data, w.data, None if b is None else b.data)
+    out = _affine(x.data, w.data, b.data)
 
     def bw(g):
         gx = _affine_backward(x.data, w, b, g, x.requires_grad)
         if gx is not None:
             _accum(x, gx)
 
-    return Tensor._from_op(out, (x, w) if b is None else (x, w, b), bw)
+    return Tensor._from_op(out, (x, w, b), bw)
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -683,17 +682,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
     return Tensor._from_op(_merge_heads(np.matmul(p, vh)), (q, k, v), bw)
 
 
-def modulated_norm(x: Tensor, shift: Tensor, scale: Tensor, eps: float) -> Tensor:
-    """`layer_norm(x) · (1 + scale) + shift` over the last axis, with no
-    learned gain or bias (adaLN modulation); `shift` and `scale` broadcast
-    against `x`."""
+def modulated_norm(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
+    """`layer_norm(x) · (1 + scale) + shift` over the last axis, epsilon
+    1e-6, with no learned gain or bias (adaLN modulation); `shift` and
+    `scale` broadcast against `x`."""
     if shift.shape != scale.shape or x.ndim < 1 or x.shape[-1] == 0:
         raise ShapeError(f"modulated_norm got x {x.shape}, shift {shift.shape}, "
                          f"scale {scale.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(1e-6, dtype=x.dtype))
     xhat *= inv
     gain = scale.data + 1.0
     out = xhat * gain
@@ -719,38 +718,29 @@ def modulated_norm(x: Tensor, shift: Tensor, scale: Tensor, eps: float) -> Tenso
 
 
 def _norm_axes(axes, ndim):
-    if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    return tuple(a % ndim for a in axes)
+    """A tuple of axes, or None for all of them, as nonnegative axes."""
+    return tuple(range(ndim)) if axes is None else tuple(a % ndim for a in axes)
 
 
-def reduce_sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a: Tensor, axes=None) -> Tensor:
     ax = _norm_axes(axes, a.ndim)
-    out = a.data.sum(axis=ax, keepdims=keepdims)
+    out = a.data.sum(axis=ax)
 
     def bw(g):
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, ax)
-        _accum(a, np.broadcast_to(gg, a.shape).copy())
+        _accum(a, np.broadcast_to(np.expand_dims(g, ax), a.shape).copy())
 
     return Tensor._from_op(out, (a,), bw)
 
 
-def reduce_mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a: Tensor, axes=None) -> Tensor:
     ax = _norm_axes(axes, a.ndim)
     count = 1
     for i in ax:
         count *= a.shape[i]
-    out = a.data.mean(axis=ax, keepdims=keepdims)
+    out = a.data.mean(axis=ax)
 
     def bw(g):
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, ax)
-        _accum(a, np.broadcast_to(gg, a.shape) / count)
+        _accum(a, np.broadcast_to(np.expand_dims(g, ax), a.shape) / count)
 
     return Tensor._from_op(out, (a,), bw)
 
@@ -767,14 +757,11 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor._from_op(out, (a,), bw)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
+def transpose(a: Tensor, axes) -> Tensor:
     out = np.transpose(a.data, axes)
 
     def bw(g):
-        if axes is None:
-            _accum(a, np.transpose(g))
-        else:
-            _accum(a, np.transpose(g, np.argsort(axes)))
+        _accum(a, np.transpose(g, np.argsort(axes)))
 
     return Tensor._from_op(out, (a,), bw)
 

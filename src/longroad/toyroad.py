@@ -222,14 +222,14 @@ VOCAB = (
 _TOKEN_IDS = {tok: i for i, tok in enumerate(VOCAB)}
 
 
-def maneuver_summary(commands: np.ndarray, max_segments: int = 3) -> str:
-    """Run-length distinct command names joined by 'then', capped."""
+def maneuver_summary(commands: np.ndarray) -> str:
+    """Run-length distinct command names joined by 'then', capped at three."""
     names = []
     for c in np.asarray(commands):
         name = COMMAND_NAMES[int(c)]
         if not names or names[-1] != name:
             names.append(name)
-        if len(names) == max_segments:
+        if len(names) == 3:
             break
     return " then ".join(names)
 
@@ -427,14 +427,6 @@ class ClipDataset:
 
     def __len__(self) -> int:
         return len(self.paths)
-
-    @property
-    def base_frames(self) -> int:
-        return self.manifest["frames"]
-
-    @property
-    def fps(self) -> int:
-        return self.manifest["fps"]
 
     def record(self, i: int) -> ClipRecord:
         if i not in self._records:

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import tensor as T
-from .curriculum import (ClipMeta, TrainingExample, curriculum_schedule,
-                         next_batch)
+from .curriculum import TrainingExample, curriculum_schedule, next_batch
 from .diffusion import (NoiseSchedule, build_schedule, loss_weights_for,
                         make_batch, total_loss)
 from .errors import ConfigError, NumericFailure
@@ -61,22 +60,19 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment optimizer over named parameters."""
+    """Adaptive-moment optimizer over named parameters; `lr`, `beta1`,
+    `beta2` and `adam_eps` come from the run's TrainConfig."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
         self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.cfg = cfg
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        lr, b1, b2, eps = self.cfg.lr, self.cfg.beta1, self.cfg.beta2, self.cfg.adam_eps
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for k, p in self.params.items():
@@ -85,8 +81,8 @@ class Adam:
             g = p.grad.astype(p.dtype, copy=False)
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
             self.v[k] = b2 * self.v[k] + (1 - b2) * (g * g)
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
-            p.data = p.data - (self.lr * update).astype(p.dtype)
+            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + eps)
+            p.data = p.data - (lr * update).astype(p.dtype)
 
 
 def grad_norm(params: dict[str, Tensor]) -> float:
@@ -159,13 +155,10 @@ def run_curriculum(model, dataset, cfg: TrainConfig, out_dir,
     previous weights; one checkpoint per phase boundary; JSONL step log."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    m = dataset.manifest
-    meta = ClipMeta(fps=m["fps"], base_h=m["height"], base_w=m["width"], base_l=m["frames"])
     schedule = build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
     phases = curriculum_schedule(list(cfg.phase_frames), list(cfg.phase_steps),
                                  cfg.token_budget)
-    optimizer = Adam(model.named_parameters(), cfg.lr, cfg.beta1, cfg.beta2,
-                     cfg.adam_eps)
+    optimizer = Adam(model.named_parameters(), cfg)
     log_file = open(log_path, "w") if log_path else None
     result = RunResult(checkpoints=[])
     global_step = 0
@@ -174,7 +167,7 @@ def run_curriculum(model, dataset, cfg: TrainConfig, out_dir,
             for s in range(phase.steps):
                 examples = [
                     next_batch(phase, dataset, rng_for(cfg.seed, "density", phase_idx, s, i),
-                               cfg.alpha_set, cfg.memory_span_d, meta)
+                               cfg.alpha_set, cfg.memory_span_d)
                     for i in range(phase.batch)
                 ]
                 noise_rngs = [rng_for(cfg.seed, "noise", phase_idx, s, i)
@@ -185,8 +178,8 @@ def run_curriculum(model, dataset, cfg: TrainConfig, out_dir,
                     loss, gnorm = train_step(model, examples, cfg, schedule,
                                              optimizer, noise_rngs, drop_rngs)
                 except NumericFailure as e:
-                    raise NumericFailure(
-                        f"aborting at step {global_step} phase {phase_idx}: {e}"
+                    raise NumericFailure(  # the log's numbering: steps count from 1
+                        f"aborting at step {global_step + 1} phase {phase_idx}: {e}"
                     ) from e
                 global_step += 1
                 alpha_hist = {}

@@ -119,7 +119,7 @@ class TestSpatialStep:
         mods = block._chunks(c)
         out = block.spatial_step(x, mods).data
 
-        h = block._mod_norm(x, mods[0], mods[1]).data
+        h = T.modulated_norm(x, mods[0], mods[1]).data
         attn = model.blocks[0].spatial_attn
         v = h @ attn.wv.w.data + attn.wv.b.data
         proj = v @ attn.wo.w.data + attn.wo.b.data

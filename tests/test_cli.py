@@ -7,7 +7,7 @@ import pytest
 from longroad import metrics as M
 from longroad import rollout as RO
 from longroad import toyroad as R
-from longroad.backbone import VideoDenoiser
+from longroad.backbone import ConditionSet, VideoDenoiser
 from longroad.checkpoint import load_into, save_tensors
 from longroad.cli import build_parser, main
 from longroad.config import load_config, model_config
@@ -134,7 +134,10 @@ class TestTrain:
                    "--out", str(tmp_path / "run")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "numeric failure: aborting at step 1 phase 0: non-finite" in err
+        # the message numbers steps as the log does: step 1 is logged, step 2 fails
+        assert "numeric failure: aborting at step 2 phase 0: non-finite" in err
+        log = (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()
+        assert json.loads(log[-1])["step"] == 1
 
     @pytest.mark.parametrize("manifest, key", [(b"{not json", "manifest"),
                                                (b'{"clips": 2}', "'frames'"),
@@ -234,15 +237,16 @@ class TestRollout:
         load_into(trained["ckpt"], model.named_parameters())
         schedule = build_schedule(50, 1e-3, 0.05)
         settings = RO.SamplerSettings(l_window=8, steps=2)
+        null = ConditionSet([], np.zeros(8), 10.0, 16.0, 24.0, null_flag=True)
         rng = rng_for(1, "sampler")
         if cond_frames:
             cond_path = write_condition(trained["tmp"], frames=cond_frames)
             state = RO.init(R.to_model_space(R.read_clip(cond_path).frames), 10)
-            frames = RO.run(state, model, schedule, None, settings, 3, rng)
+            frames = RO.run(state, model, schedule, null, settings, 3, rng)
         else:
             cond_path = "none"
-            state = RO.bootstrap(model, schedule, None, settings, 4, (3, 16, 24), 10, rng)
-            frames = RO.run(state, model, schedule, None, settings, 2, rng)
+            state = RO.bootstrap(model, schedule, null, settings, 4, (3, 16, 24), 10, rng)
+            frames = RO.run(state, model, schedule, null, settings, 2, rng)
         want = trained["tmp"] / "want.toyr"
         R.write_clip(R.ClipRecord(frames=R.to_pixel_space(frames), fps=10,
                                   caption="unconditional rollout",
@@ -260,6 +264,31 @@ class TestRollout:
         assert (records[0]["seam"] is None) == (cond_frames == 0)
         assert all(r["seam"] >= 0 and r["within"] >= 0 for r in records[1:])
         assert [sorted(r) for r in records] == [sorted(records[0])] * 3
+
+    @pytest.mark.parametrize("cond_frames", [0, 4])  # 0: --cond none
+    def test_uncaptioned_rollout_conditions_on_null_at_rollout_fps(self, trained, monkeypatch,
+                                                                   cond_frames):
+        # the condition training's dropout shows the model: the null row with
+        # the clip's fps and size; at guidance 1.5 the guidance forward, the
+        # same call again, is skipped
+        cfg = write_config(trained["tmp"], {**TINY_CONFIG, "rollout": {
+            **TINY_CONFIG["rollout"], "guidance_scale": 1.5}})
+        seen = []
+        forward = VideoDenoiser.forward
+
+        def recording(model, xt, t, cond, plan):
+            seen.append(cond)
+            return forward(model, xt, t, cond, plan)
+
+        monkeypatch.setattr(VideoDenoiser, "forward", recording)
+        cond = str(write_condition(trained["tmp"])) if cond_frames else "none"
+        assert main(["rollout", "--ckpt", trained["ckpt"], "--config", str(cfg),
+                     "--cond", cond, "--iters", "2",
+                     "--out", str(trained["tmp"] / "u.toyr")]) == 0
+        assert len(seen) == 2 * TINY_CONFIG["rollout"]["steps"]
+        for c in seen:
+            assert c is not None and c.null_flag
+            assert (c.fps, c.height, c.width) == (10.0, 16.0, 24.0)
 
     def test_peak_memory_flat_in_iterations(self, trained):
         import tracemalloc

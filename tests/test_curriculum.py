@@ -79,7 +79,7 @@ class TestMemoryLen:
 
 class TestSchedule:
     def test_full_scale_targets(self):
-        phases = C.curriculum_schedule([16, 32, 64, 128], 100, token_budget=512)
+        phases = C.curriculum_schedule([16, 32, 64, 128], [100] * 4, token_budget=512)
         assert len(phases) == 4 and phases[-1].frames == 128
 
     def test_single_target(self):
@@ -87,14 +87,14 @@ class TestSchedule:
         assert len(phases) == 1 and phases[0].steps == 50
 
     def test_batch_halves_as_frames_double(self):
-        phases = C.curriculum_schedule([16, 32, 64, 128], 10, token_budget=512)
+        phases = C.curriculum_schedule([16, 32, 64, 128], [10] * 4, token_budget=512)
         batches = [p.batch for p in phases]
         assert batches == [32, 16, 8, 4]
         assert all(p.frames * p.batch == 512 for p in phases)
 
     def test_descending_targets_rejected(self):
         with pytest.raises(ConfigError):
-            C.curriculum_schedule([32, 16], 10, token_budget=64)
+            C.curriculum_schedule([32, 16], [10, 10], token_budget=64)
 
     def test_step_budget_length_mismatch(self):
         with pytest.raises(ConfigError):
@@ -111,29 +111,29 @@ def dataset(tmp_path_factory):
 class TestNextBatch:
     def test_alpha_one_contiguous_window(self, dataset):
         phase = C.CurriculumPhase(frames=8, batch=1, steps=1)
-        ex = C.next_batch(phase, dataset, np.random.default_rng(0), [1], 4, META)
+        ex = C.next_batch(phase, dataset, np.random.default_rng(0), [1], 4)
         assert np.all(np.diff(ex.plan.original_indices) == 1)
         assert ex.clip.shape == (8, 3, 16, 24)
 
     def test_token_invariant(self, dataset):
         phase = C.CurriculumPhase(frames=16, batch=1, steps=1)
         for seed in range(10):
-            ex = C.next_batch(phase, dataset, np.random.default_rng(seed), [1, 2], 4, META)
+            ex = C.next_batch(phase, dataset, np.random.default_rng(seed), [1, 2], 4)
             assert ex.clip.shape[0] * ex.draw.alpha**2 == phase.frames
             assert ex.partition.m_memory * ex.draw.alpha**2 == 4
             assert ex.clip.shape[2] == 16 * ex.draw.alpha
 
     def test_same_seed_identical(self, dataset):
         phase = C.CurriculumPhase(frames=16, batch=1, steps=1)
-        a = C.next_batch(phase, dataset, np.random.default_rng(3), [1, 2], 4, META)
-        b = C.next_batch(phase, dataset, np.random.default_rng(3), [1, 2], 4, META)
+        a = C.next_batch(phase, dataset, np.random.default_rng(3), [1, 2], 4)
+        b = C.next_batch(phase, dataset, np.random.default_rng(3), [1, 2], 4)
         assert a.clip.tobytes() == b.clip.tobytes()
         assert a.clip_index == b.clip_index and a.window_start == b.window_start
         np.testing.assert_array_equal(a.plan.original_indices, b.plan.original_indices)
 
     def test_condition_matches_window(self, dataset):
         phase = C.CurriculumPhase(frames=8, batch=1, steps=1)
-        ex = C.next_batch(phase, dataset, np.random.default_rng(5), [1], 4, META)
+        ex = C.next_batch(phase, dataset, np.random.default_rng(5), [1], 4)
         rec = dataset.record(ex.clip_index)
         expect = rec.commands[ex.window_start + ex.plan.original_indices]
         np.testing.assert_array_equal(ex.cond.command_ids, expect)
@@ -144,7 +144,7 @@ class TestNextBatch:
         for frames in (8, 16, 32):
             phase = C.CurriculumPhase(frames=frames, batch=1, steps=1)
             for seed in range(6):
-                ex = C.next_batch(phase, dataset, np.random.default_rng(seed), [1, 2], 4, META)
+                ex = C.next_batch(phase, dataset, np.random.default_rng(seed), [1, 2], 4)
                 full = R.to_model_space(dataset.pixels_at_scale(ex.clip_index, ex.draw.alpha))
                 want = np.ascontiguousarray(full[ex.window_start + ex.draw.indices])
                 assert ex.clip.dtype == np.float32 and ex.clip.flags.c_contiguous
@@ -160,9 +160,9 @@ class TestNextBatch:
     def test_clip_too_short(self, dataset):
         phase = C.CurriculumPhase(frames=64, batch=1, steps=1)
         with pytest.raises(DataError):
-            C.next_batch(phase, dataset, np.random.default_rng(0), [1], 4, META)
+            C.next_batch(phase, dataset, np.random.default_rng(0), [1], 4)
 
     def test_memory_span_consumes_window(self, dataset):
         phase = C.CurriculumPhase(frames=8, batch=1, steps=1)
         with pytest.raises(ConfigError):
-            C.next_batch(phase, dataset, np.random.default_rng(0), [1], 8, META)
+            C.next_batch(phase, dataset, np.random.default_rng(0), [1], 8)

@@ -26,7 +26,7 @@ class TestInit:
     def test_basic(self):
         cond = np.zeros((8, 1, 8, 8), dtype=np.float32)
         state = RO.init(cond, fps=10)
-        assert state.frames.shape[0] == 8 and state.iteration == 0
+        assert state.frames.shape[0] == 8
 
     def test_empty_condition_rejected(self):
         with pytest.raises(ContractError):
@@ -44,7 +44,7 @@ class TestStep:
         model = tiny_model()
         state = RO.init(np.zeros((8, 1, 8, 8), dtype=np.float32), fps=10)
         out = RO.step(state, model, SCHED, None, settings(32), np.random.default_rng(0))
-        assert out.frames.shape[0] == 32 and out.iteration == 1
+        assert out.frames.shape[0] == 32
 
     def test_memory_pinning_bit_equal(self):
         model = tiny_model()
@@ -116,7 +116,7 @@ class TestBootstrap:
         model = tiny_model()
         state = RO.bootstrap(model, SCHED, None, settings(8), m_memory=2,
                              frame_shape=(1, 8, 8), fps=10, rng=np.random.default_rng(0))
-        assert state.frames.shape[0] == 8 and state.iteration == 1
+        assert state.frames.shape[0] == 8
         frames = RO.run(state, model, SCHED, None, settings(8), 2, np.random.default_rng(1))
         # law: M + k (L - M) with k = 3 including the bootstrap chunk
         assert frames.shape[0] == 2 + 3 * 6
@@ -126,7 +126,7 @@ class TestBootstrap:
         # same rng; later chunks add L - M frames
         model = tiny_model()
         empty = RO.RolloutState(frames=np.empty((0, 1, 8, 8), np.float32), m_memory=2,
-                                fps=10, iteration=0)
+                                fps=10)
         got = list(RO.chunks(empty, model, SCHED, None, settings(8), 3,
                              np.random.default_rng(4)))
         assert [len(c) for c in got] == [8, 6, 6]
@@ -139,7 +139,7 @@ class TestBootstrap:
 
     def test_buffer_shorter_than_memory_rejected(self):
         short = RO.RolloutState(frames=np.zeros((1, 1, 8, 8), np.float32), m_memory=2,
-                                fps=10, iteration=0)
+                                fps=10)
         with pytest.raises(ContractError, match="shorter than the memory window"):
             next(RO.chunks(short, tiny_model(), SCHED, None, settings(8), 1,
                            np.random.default_rng(0)))

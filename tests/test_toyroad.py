@@ -343,6 +343,22 @@ class TestClipFormat:
                             rec.commands, [rec.frames[:3], rec.frames[3:3], rec.frames[3:]])
         assert (tmp_path / "a.toyr").read_bytes() == (tmp_path / "b.toyr").read_bytes()
 
+    @pytest.mark.parametrize("commands, caption, chunk, match", [
+        (np.zeros((2, 1), np.uint8), "road", np.zeros((2, 3, 16, 24), np.uint8),
+         "one command byte per frame"),
+        (np.zeros(2, np.uint8), "", np.zeros((2, 3, 16, 24), np.uint8), "caption"),
+        (np.zeros(2, np.uint8), "road", np.zeros((2, 3, 16, 24), np.float32), "uint8"),
+        (np.zeros(2, np.uint8), "road", np.zeros((2, 3, 16, 25), np.uint8),
+         r"need \(n, 3, 16, 24\) frames"),
+        (np.zeros(2, np.uint8), "road", np.zeros((3, 3, 16, 24), np.uint8),
+         "2 commands, 3 frames"),
+    ], ids=["command_shape", "empty_caption", "float_pixels", "chunk_shape", "extra_frames"])
+    def test_bad_chunked_write_rejected(self, tmp_path, commands, caption, chunk, match):
+        with pytest.raises(ContractError, match=match):
+            R.write_clip_chunks(tmp_path / "a.toyr", (3, 16, 24), 10, caption, commands,
+                                [chunk])
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_frame_rejected(self, tmp_path):
         rec = self._record()
         rec.frames = rec.frames[:0]
@@ -374,6 +390,18 @@ class TestDataset:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
+            R.ClipDataset(tmp_path)
+
+    def test_missing_clip_rejected(self, tmp_path):
+        root = R.generate_dataset(tmp_path / "d", clips=2, frames=8, height=16,
+                                  width=24, fps=10, seed=9)
+        (root / "clip_0001.toyr").unlink()
+        with pytest.raises(DataError, match="manifest promises 2 clips, found 1"):
+            R.ClipDataset(root)
+
+    def test_manifest_not_an_object(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[2, 8]")
+        with pytest.raises(DataError, match="must be a JSON object"):
             R.ClipDataset(tmp_path)
 
     def test_model_space_equals_float_division_at_every_pixel(self):

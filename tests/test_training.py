@@ -8,7 +8,7 @@ from longroad import checkpoint as CK
 from longroad import diffusion as D
 from longroad import toyroad as R
 from longroad import training as TR
-from longroad.curriculum import ClipMeta, CurriculumPhase, next_batch
+from longroad.curriculum import CurriculumPhase, next_batch
 from longroad.errors import NumericFailure
 from longroad.tensor import Tensor
 
@@ -18,9 +18,6 @@ def dataset(tmp_path_factory):
     root = R.generate_dataset(tmp_path_factory.mktemp("ds"), clips=2, frames=16,
                               height=16, width=24, fps=10, seed=21)
     return R.ClipDataset(root)
-
-
-META = ClipMeta(fps=10, base_h=16, base_w=24, base_l=16)
 
 
 def tiny_model(seed=0):
@@ -40,7 +37,7 @@ def tiny_cfg(**kw):
 def one_example(dataset, cfg, seed=0):
     phase = CurriculumPhase(frames=cfg.phase_frames[0], batch=1, steps=1)
     return next_batch(phase, dataset, np.random.default_rng(seed),
-                      cfg.alpha_set, cfg.memory_span_d, META)
+                      cfg.alpha_set, cfg.memory_span_d)
 
 
 class TestTrainStep:
@@ -49,7 +46,7 @@ class TestTrainStep:
         model = tiny_model()
         before = {k: p.data.copy() for k, p in model.named_parameters().items()}
         sched = D.build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
-        opt = TR.Adam(model.named_parameters(), cfg.lr)
+        opt = TR.Adam(model.named_parameters(), cfg)
         ex = one_example(dataset, cfg)
         TR.train_step(model, [ex], cfg, sched, opt,
                       [np.random.default_rng(1)], [np.random.default_rng(2)])
@@ -60,7 +57,7 @@ class TestTrainStep:
         cfg = tiny_cfg()
         model = tiny_model()
         sched = D.build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
-        opt = TR.Adam(model.named_parameters(), cfg.lr)
+        opt = TR.Adam(model.named_parameters(), cfg)
         loss, norm = TR.train_step(model, [one_example(dataset, cfg)], cfg, sched, opt,
                                    [np.random.default_rng(3)], [np.random.default_rng(4)])
         assert np.isfinite(loss) and np.isfinite(norm) and norm >= 0
@@ -70,7 +67,7 @@ class TestTrainStep:
         model = tiny_model()
         model.head.b.data[:] = np.nan
         sched = D.build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
-        opt = TR.Adam(model.named_parameters(), cfg.lr)
+        opt = TR.Adam(model.named_parameters(), cfg)
         with pytest.raises(NumericFailure) as ei:
             TR.train_step(model, [one_example(dataset, cfg)], cfg, sched, opt,
                           [np.random.default_rng(5)], [np.random.default_rng(6)])
@@ -81,7 +78,7 @@ class TestTrainStep:
         model = tiny_model()
         before = {k: p.data.copy() for k, p in model.named_parameters().items()}
         sched = D.build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
-        opt = TR.Adam(model.named_parameters(), cfg.lr)
+        opt = TR.Adam(model.named_parameters(), cfg)
         clip = TR.clip_gradients
 
         def plant_inf(params, max_norm):
@@ -108,7 +105,7 @@ class TestTrainStep:
 
         def peak(n):
             model = tiny_model()
-            opt = TR.Adam(model.named_parameters(), cfg.lr)
+            opt = TR.Adam(model.named_parameters(), cfg)
             rngs = [np.random.default_rng(7 + i) for i in range(2 * n)]
             tracemalloc.start()
             try:
@@ -126,6 +123,35 @@ class TestTrainStep:
         pre = TR.clip_gradients({"p": p}, max_norm=1.0)
         assert pre == pytest.approx(20.0)
         assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-5)
+
+
+class TestTapeSize:
+    def test_desk_model_tape_nodes_do_not_grow(self, dataset):
+        # Ratchet on the op nodes one w8, alpha = 1 captioned example puts on
+        # the tape, walked from total_loss as perfbench's tape counter walks
+        # it (the 132 parameter leaves it reaches are not counted). The 203
+        # split by op: linear 55, slice 54, modulated_norm 17,
+        # gated_residual 16, attention 12, reshape 10, transpose 9, mul 6,
+        # mlp 5, add 4, sub 3, reduce_mean 2, astype 2, concat 2, gather 2,
+        # reduce_sum 1, exp 1, neg 1, sigmoid 1. Lower the bound when a
+        # change removes nodes.
+        cfg = TR.TrainConfig()
+        ex = one_example(dataset, tiny_cfg())
+        model = B.VideoDenoiser(B.ModelConfig(), np.random.default_rng(0))
+        sched = D.build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
+        batch = D.make_batch(ex.clip, ex.partition, sched, np.random.default_rng(1))
+        pred = model.forward(batch.xt, batch.t, ex.cond, ex.plan)
+        loss = D.total_loss(batch, pred, D.loss_weights_for(ex.partition, cfg.lam), sched)
+        seen, todo, ops = {id(loss)}, [loss], 0
+        while todo:
+            node = todo.pop()
+            ops += node._backward is not None
+            for p in node._parents:
+                if p.requires_grad and id(p) not in seen:
+                    seen.add(id(p))
+                    todo.append(p)
+        assert ex.draw.alpha == 1 and len(ex.cond.text_tokens) > 0
+        assert ops <= 203, ops
 
 
 class TestLossMasking:
@@ -191,6 +217,14 @@ class TestCurriculumRun:
         assert len(lines) == (2 + 3) + 2
         # transitions land exactly at the configured step budgets
         assert [r["phase"] for r in res.history] == [0, 0, 1, 1, 1]
+
+    def test_progress_gets_every_step_record(self, dataset, tmp_path):
+        cfg = tiny_cfg(phase_frames=(8, 16), phase_steps=(2, 1), token_budget=16)
+        records = []
+        res = TR.run_curriculum(tiny_model(), dataset, cfg, tmp_path / "p",
+                                progress=records.append)
+        assert [r["step"] for r in records] == [1, 2, 3]
+        assert records == res.history
 
     def test_window_extrapolation_no_shape_errors(self, dataset, tmp_path):
         # a model trained on 8-frame windows accepts a 16-frame input

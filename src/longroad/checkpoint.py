@@ -42,14 +42,20 @@ def save_tensors(path, tensors: dict[str, Tensor | np.ndarray]) -> None:
             f.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
 
 
+def _bad(path, message: str, offset: int | None = None) -> FormatError:
+    """A malformed checkpoint's error names its file."""
+    return FormatError(f"checkpoint {path}: {message}", offset=offset)
+
+
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: bytes, path):
         self.blob = blob
+        self.path = path
         self.pos = 0
 
     def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.blob):
-            raise FormatError(f"truncated checkpoint while reading {what}", offset=self.pos)
+            raise _bad(self.path, f"truncated while reading {what}", self.pos)
         chunk = self.blob[self.pos:self.pos + n]
         self.pos += n
         return chunk
@@ -64,36 +70,34 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             blob = f.read()
     except OSError as e:
         raise DataError(f"cannot read checkpoint {path}: {e.strerror or e}") from e
-    r = _Reader(blob)
+    r = _Reader(blob, path)
     magic = r.take(4, "magic")
     if magic != MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r}, expected {MAGIC!r}", offset=0)
+        raise _bad(path, f"bad magic {magic!r}, expected {MAGIC!r}", 0)
     version, count = r.unpack("<HI", "header")
     if version != VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
+        raise _bad(path, f"unsupported version {version}", 4)
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H", "name length")
         try:
             name = r.take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError as e:
-            raise FormatError("tensor name is not valid UTF-8",
-                              offset=r.pos - name_len + e.start)
+            raise _bad(path, "tensor name is not valid UTF-8", r.pos - name_len + e.start)
         (rank,) = r.unpack("<B", "rank")
         if rank > _MAX_RANK:
-            raise FormatError(f"tensor rank {rank} exceeds {_MAX_RANK}", offset=r.pos - 1)
+            raise _bad(path, f"tensor rank {rank} exceeds {_MAX_RANK}", r.pos - 1)
         dims_at = r.pos
         dims = tuple(r.unpack(f"<{rank}I", "dims")) if rank else ()
         (code,) = r.unpack("<B", "dtype code")
         if code not in _DTYPE_CODES:
-            raise FormatError(f"unknown dtype code {code}", offset=r.pos - 1)
+            raise _bad(path, f"unknown dtype code {code}", r.pos - 1)
         dt = _DTYPE_CODES[code]
         n = math.prod(dims)  # Python ints: a crafted header cannot wrap around
         raw = r.take(n * dt.itemsize, f"tensor {name!r} payload")
         if math.prod(d for d in dims if d) * dt.itemsize > _MAX_BYTES:
             # empty, yet numpy refuses a shape whose nonzero dims overflow
-            raise FormatError(f"tensor {name!r} dims {dims} exceed the largest array",
-                              offset=dims_at)
+            raise _bad(path, f"tensor {name!r} dims {dims} exceed the largest array", dims_at)
         out[name] = np.frombuffer(raw, dtype=dt).reshape(dims).copy()
     return out
 
@@ -104,13 +108,10 @@ def load_into(path, named: dict[str, Tensor]) -> None:
     missing = sorted(set(named) - set(stored))
     extra = sorted(set(stored) - set(named))
     if missing or extra:
-        raise FormatError(
-            f"checkpoint/model mismatch: missing {missing[:4]}, unexpected {extra[:4]}"
-        )
+        raise _bad(path, f"does not match the model: missing {missing[:4]}, "
+                         f"unexpected {extra[:4]}")
     for name, p in named.items():
         arr = stored[name]
         if arr.shape != p.shape:
-            raise FormatError(
-                f"checkpoint tensor {name!r} has shape {arr.shape}, model expects {p.shape}"
-            )
+            raise _bad(path, f"tensor {name!r} has shape {arr.shape}, model expects {p.shape}")
         p.data = np.ascontiguousarray(arr, dtype=p.dtype)

@@ -131,6 +131,8 @@ def cmd_rollout(args) -> int:
         raise UsageError("--iters must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
+    if args.direction != "straight" and args.caption is None:  # the null condition ignores it
+        raise UsageError(f"--direction {args.direction} needs --caption")
     l_window = cfg["rollout"]["l_window"]
     m_memory = cfg["train"]["memory_span_d"]   # full-resolution memory rule
     total = m_memory + args.iters * (l_window - m_memory)
@@ -157,6 +159,9 @@ def cmd_rollout(args) -> int:
                 f"condition clip has {record.frames.shape[0]} frames, "
                 f"rollout memory expects exactly {m_memory}"
             )
+        if record.fps != fps:
+            raise ContractError(f"condition clip {args.cond} is {record.fps} fps, "
+                                f"rollout.fps is {fps}")
         state = RO.init(R.to_model_space(record.frames), fps)
         frame_shape = state.frames.shape[1:]
     # without a caption, the null condition that training's dropout shows the

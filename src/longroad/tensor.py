@@ -108,12 +108,7 @@ class Tensor:
         self.grad = None
 
     def astype(self, dtype) -> "Tensor":
-        src = self
-
-        def bw(g):
-            _accum(src, g.astype(src.dtype))
-
-        return Tensor._from_op(self.data.astype(dtype), (self,), bw)
+        return _node(self.data.astype(dtype), (self,), [lambda g: g.astype(self.dtype)])
 
     # -- autodiff ---------------------------------------------------------------
 
@@ -152,12 +147,6 @@ class Tensor:
         return slice_(self, idx)
 
 
-def _coerce(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _accum(t: Tensor, g: np.ndarray):
     if t.grad is None:
         t.grad = g.copy() if not g.flags.owndata else g
@@ -178,101 +167,82 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _node(out: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
+    """The tape node of an op whose parents' gradients share no work.
+
+    `grads[i](g)` is parent i's local gradient for the output gradient `g`.
+    The one backward skips a parent that needs no gradient, sums the rest
+    back to the parent's shape and accumulates them in parent order, so a
+    tensor passed twice (`mul(x, x)`) adds its two terms in that order.
+
+    Five ops keep a backward of their own. In `linear`, `mlp`, `attention`
+    and `modulated_norm` the parents' gradients share arrays: the folded
+    GEMM operand, fc1's output and the GELU cdf, the attention `ds`, the
+    normalised `d`. `layer_norm` sums its gain and bias gradients over an
+    arbitrary axis, which `_unbroadcast` does not do.
+    """
+    def bw(g):
+        for p, grad in zip(parents, grads):
+            if p.requires_grad:
+                _accum(p, _unbroadcast(grad(g), p.shape))
+
+    return Tensor._from_op(out, parents, bw)
+
+
 # -- elementwise arithmetic ---------------------------------------------------
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """A binary op's operands as tensors; a non-tensor takes the other
+    operand's dtype, float32 if neither is a tensor."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=getattr(b, "dtype", np.float32)))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
+    return a, b
+
+
 def add(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", np.float32))
-    b = _coerce(b, a.dtype)
-    out = a.data + b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
-
-    return Tensor._from_op(out, (a, b), bw)
+    a, b = _operands(a, b)
+    return _node(a.data + b.data, (a, b), [lambda g: g, lambda g: g])
 
 
 def sub(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", np.float32))
-    b = _coerce(b, a.dtype)
-    out = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.shape))
-
-    return Tensor._from_op(out, (a, b), bw)
+    a, b = _operands(a, b)
+    return _node(a.data - b.data, (a, b), [lambda g: g, lambda g: -g])
 
 
 def mul(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", np.float32))
-    b = _coerce(b, a.dtype)
-    out = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    return Tensor._from_op(out, (a, b), bw)
+    a, b = _operands(a, b)
+    return _node(a.data * b.data, (a, b), [lambda g: g * b.data, lambda g: g * a.data])
 
 
 def div(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", np.float32))
-    b = _coerce(b, a.dtype)
-    out = a.data / b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return Tensor._from_op(out, (a, b), bw)
+    a, b = _operands(a, b)
+    return _node(a.data / b.data, (a, b),
+                 [lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)])
 
 
 def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, -g)
-
-    return Tensor._from_op(-a.data, (a,), bw)
+    return _node(-a.data, (a,), [lambda g: -g])
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-
-    def bw(g):
-        _accum(a, g * out)
-
-    return Tensor._from_op(out, (a,), bw)
+    return _node(out, (a,), [lambda g: g * out])
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise NumericDomainError("log requires strictly positive input")
-    out = np.log(a.data)
-
-    def bw(g):
-        _accum(a, g / a.data)
-
-    return Tensor._from_op(out, (a,), bw)
+    return _node(np.log(a.data), (a,), [lambda g: g / a.data])
 
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0):
         raise NumericDomainError("sqrt requires nonnegative input")
     out = np.sqrt(a.data)
-
-    def bw(g):
-        _accum(a, g * 0.5 / out)
-
-    return Tensor._from_op(out, (a,), bw)
+    return _node(out, (a,), [lambda g: g * 0.5 / out])
 
 
 # -- GELU -----------------------------------------------------------------------
@@ -403,11 +373,7 @@ def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU; float32 through `_gelu32`, bit-equal to scipy's erf."""
     x = a.data
     out, cdf = _gelu_forward(x, keep_cdf=_GRAD_ENABLED[-1] and a.requires_grad)
-
-    def bw(g):
-        _accum(a, _gelu_backward(x, cdf, g))
-
-    return Tensor._from_op(out, (a,), bw)
+    return _node(out, (a,), [lambda g: _gelu_backward(x, cdf, g)])
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -417,11 +383,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-
-    def bw(g):
-        _accum(a, g * out * (1.0 - out))
-
-    return Tensor._from_op(out, (a,), bw)
+    return _node(out, (a,), [lambda g: g * out * (1.0 - out)])
 
 
 # -- softmax / layer norm -----------------------------------------------------
@@ -435,12 +397,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        _accum(a, out * (g - dot))
-
-    return Tensor._from_op(out, (a,), bw)
+    return _node(out, (a,), [lambda g: out * (g - (g * out).sum(axis=axis, keepdims=True))])
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1,
@@ -495,16 +452,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = np.matmul(a.data, b.data)
     except ValueError as e:
         raise ShapeError(f"matmul batch extents not broadcastable: {a.shape} x {b.shape}") from e
-
-    def bw(g):
-        if a.requires_grad:
-            ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            _accum(a, _unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(a.data.swapaxes(-1, -2), g)
-            _accum(b, _unbroadcast(gb, b.shape))
-
-    return Tensor._from_op(out, (a, b), bw)
+    return _node(out, (a, b), [lambda g: np.matmul(g, b.data.swapaxes(-1, -2)),
+                               lambda g: np.matmul(a.data.swapaxes(-1, -2), g)])
 
 
 # -- fused layers: one tape node each, hand-written backward -----------------------
@@ -595,16 +544,7 @@ def gated_residual(x: Tensor, gate: Tensor, y: Tensor) -> Tensor:
                          f"broadcasts to it, got {x.shape}, {gate.shape}, {y.shape}")
     out = gate.data * y.data
     out += x.data
-
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, g)
-        if gate.requires_grad:
-            _accum(gate, _unbroadcast(g * y.data, gate.shape))
-        if y.requires_grad:
-            _accum(y, g * gate.data)
-
-    return Tensor._from_op(out, (x, gate, y), bw)
+    return _node(out, (x, gate, y), [lambda g: g, lambda g: g * y.data, lambda g: g * gate.data])
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -724,12 +664,8 @@ def _norm_axes(axes, ndim):
 
 def reduce_sum(a: Tensor, axes=None) -> Tensor:
     ax = _norm_axes(axes, a.ndim)
-    out = a.data.sum(axis=ax)
-
-    def bw(g):
-        _accum(a, np.broadcast_to(np.expand_dims(g, ax), a.shape).copy())
-
-    return Tensor._from_op(out, (a,), bw)
+    return _node(a.data.sum(axis=ax), (a,),
+                 [lambda g: np.broadcast_to(np.expand_dims(g, ax), a.shape).copy()])
 
 
 def reduce_mean(a: Tensor, axes=None) -> Tensor:
@@ -737,62 +673,40 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
     count = 1
     for i in ax:
         count *= a.shape[i]
-    out = a.data.mean(axis=ax)
-
-    def bw(g):
-        _accum(a, np.broadcast_to(np.expand_dims(g, ax), a.shape) / count)
-
-    return Tensor._from_op(out, (a,), bw)
+    return _node(a.data.mean(axis=ax), (a,),
+                 [lambda g: np.broadcast_to(np.expand_dims(g, ax), a.shape) / count])
 
 
 # -- structural ops ---------------------------------------------------------------
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def bw(g):
-        _accum(a, g.reshape(a.shape))
-
-    return Tensor._from_op(out, (a,), bw)
+    return _node(a.data.reshape(shape), (a,), [lambda g: g.reshape(a.shape)])
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    out = np.transpose(a.data, axes)
-
-    def bw(g):
-        _accum(a, np.transpose(g, np.argsort(axes)))
-
-    return Tensor._from_op(out, (a,), bw)
+    return _node(np.transpose(a.data, axes), (a,), [lambda g: np.transpose(g, np.argsort(axes))])
 
 
 def slice_(a: Tensor, idx) -> Tensor:
     """Basic (int/slice/tuple) indexing; gradient scatters back into place."""
-    out = a.data[idx]
-
-    def bw(g):
+    def scatter(g):
         full = np.zeros_like(a.data)
         full[idx] = g
-        _accum(a, full)
+        return full
 
-    return Tensor._from_op(out, (a,), bw)
+    return _node(a.data[idx], (a,), [scatter])
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of an empty list")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-
-    def bw(g):
-        offsets = np.cumsum([0] + sizes)
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accum(t, g[tuple(sl)])
-
-    return Tensor._from_op(out, tuple(tensors), bw)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    lead = (slice(None),) * (axis % out.ndim)
+    # one index per parent, bound as a default: a closure would see the last
+    parts = [lead + (slice(lo, hi),) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return _node(out, tuple(tensors), [lambda g, part=part: g[part] for part in parts])
 
 
 def gather(table: Tensor, indices) -> Tensor:
@@ -802,14 +716,13 @@ def gather(table: Tensor, indices) -> Tensor:
         raise IndexError(
             f"gather index out of range for table with {table.shape[0]} rows"
         )
-    out = table.data[idx]
 
-    def bw(g):
+    def scatter_add(g):
         full = np.zeros_like(table.data)
         np.add.at(full, idx, g)
-        _accum(table, full)
+        return full
 
-    return Tensor._from_op(out, (table,), bw)
+    return _node(table.data[idx], (table,), [scatter_add])
 
 
 # -- gradient checking (float64 oracle) --------------------------------------------

@@ -48,6 +48,11 @@ class TrainConfig:
             raise ConfigError("learning rate must be >= 0")
         if not 0.0 <= self.cond_dropout < 1.0:
             raise ConfigError("condition dropout must lie in [0, 1)")
+        if self.lam < 0:
+            raise ConfigError(f"retention decay rate lam must be >= 0, got {self.lam}")
+        if self.grad_clip < 0:
+            raise ConfigError(f"grad_clip must be >= 0 (0 turns clipping off), "
+                              f"got {self.grad_clip}")
         if len(self.phase_frames) != len(self.phase_steps):
             raise ConfigError("need one step budget per phase")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

@@ -166,9 +166,9 @@ def trained(tmp_path):
     return dict(data=data, cfg=cfg, ckpt=ckpt, tmp=tmp_path)
 
 
-def write_condition(tmp_path, frames=4, seed=0):
+def write_condition(tmp_path, frames=4, seed=0, fps=10):
     spec = R.random_scene(np.random.default_rng(seed), 16)
-    rec = R.render_clip(spec, 16, 24, frames, 10)
+    rec = R.render_clip(spec, 16, 24, frames, fps)
     path = tmp_path / "cond.toyr"
     R.write_clip(rec, path)
     return path
@@ -358,6 +358,25 @@ class TestRollout:
                    "--out", str(trained["tmp"] / "bad.toyr")])
         assert rc == 2
 
+    def test_condition_fps_other_than_rollout_fps_exit_two(self, trained, capsys):
+        cond = write_condition(trained["tmp"], fps=5)
+        out = trained["tmp"] / "x.toyr"
+        rc = main(["rollout", "--ckpt", trained["ckpt"], "--config", str(trained["cfg"]),
+                   "--cond", str(cond), "--iters", "1", "--out", str(out)])
+        assert rc == 2
+        assert (f"data error: condition clip {cond} is 5 fps, rollout.fps is 10"
+                in capsys.readouterr().err)
+        assert not list(trained["tmp"].glob("x.toyr*"))
+
+    def test_direction_without_caption_usage_error(self, tmp_path, capsys):
+        # the null condition has no command; the checkpoint does not exist,
+        # so an exit 1 shows the rule runs before it is read
+        rc = main(["rollout", "--ckpt", str(tmp_path / "absent.idck"), "--cond", "none",
+                   "--iters", "1", "--direction", "left", "--out", str(tmp_path / "x.toyr")])
+        assert rc == 1
+        assert "usage error: --direction left needs --caption" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestEval:
     def test_gen_equals_ref_gives_zero_fid(self, tmp_path):
@@ -505,6 +524,8 @@ EARLY_CONFIG_ERRORS = [
     {"train": {"phase_frames": [16, 8], "phase_steps": [2, 2]}},  # not ascending
     {"train": {"alpha_set": [1, 2], "memory_span_d": 2}},  # memory 2, alpha^2 = 4
     {"train": {"memory_span_d": 8}, "rollout": {"l_window": 16}},  # no future frame
+    {"train": {"lam": -1.0}},  # a negative retention decay rate
+    {"train": {"grad_clip": -1.0}},  # 0 turns clipping off; below it is no value
 ]
 
 
@@ -538,6 +559,10 @@ EARLY_CONFIG_ERRORS = [
     ({"train": {"beta1": 1.5}}, []),
     ({"train": {"beta2": 1.0}}, []),
     ({"train": {"adam_eps": -1.0}}, []),
+    ({"train": {"lr": -1.0}}, []),
+    ({"train": {"cond_dropout": 1.0}}, []),
+    ({"model": {"hidden": 6, "heads": 3}}, []),  # 2-D position embeddings need 4 | hidden
+    ({"model": {"rope_base": 0.0}}, []),
     *[(section, []) for section in EARLY_CONFIG_ERRORS],
 ])
 def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):

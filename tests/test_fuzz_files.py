@@ -69,6 +69,8 @@ def ends_in_value_or_typed_error(read, path, blob):
     path.write_bytes(blob)
     try:
         read(path)
+    except FormatError as e:  # names its file and an offset within it
+        assert str(path) in str(e) and 0 <= e.offset <= len(blob), str(e)
     except LongroadError:
         pass
 

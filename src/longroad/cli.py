@@ -139,6 +139,7 @@ def cmd_rollout(args) -> int:
     if total > R.HEADER_LIMITS["frames"]:
         raise UsageError(f"--iters {args.iters} would make {total} frames; a clip "
                          f"holds at most {R.HEADER_LIMITS['frames']}")
+    record = None if args.cond == "none" else _condition_clip(args.cond, cfg)
     model = _build_model(cfg)
     ckpt.load_into(args.ckpt, model.named_parameters())
     schedule = build_schedule(cfg["train"]["t_max"], cfg["train"]["beta_start"],
@@ -148,20 +149,11 @@ def cmd_rollout(args) -> int:
                                   guidance_scale=cfg["rollout"]["guidance_scale"])
     cmd_code = {"straight": R.STRAIGHT, "left": R.LEFT, "right": R.RIGHT}[args.direction]
 
-    if args.cond == "none":  # text-only: the first chunk is a whole clip
+    if record is None:  # text-only: the first chunk is a whole clip
         frame_shape = (cfg["model"]["channels"], cfg["data"]["height"], cfg["data"]["width"])
         state = RO.RolloutState(frames=np.empty((0, *frame_shape), dtype=np.float32),
                                 m_memory=m_memory, fps=fps)
     else:
-        record = R.read_clip(args.cond)
-        if record.frames.shape[0] != m_memory:
-            raise ContractError(
-                f"condition clip has {record.frames.shape[0]} frames, "
-                f"rollout memory expects exactly {m_memory}"
-            )
-        if record.fps != fps:
-            raise ContractError(f"condition clip {args.cond} is {record.fps} fps, "
-                                f"rollout.fps is {fps}")
         state = RO.init(R.to_model_space(record.frames), fps)
         frame_shape = state.frames.shape[1:]
     # without a caption, the null condition that training's dropout shows the
@@ -214,6 +206,28 @@ def cmd_rollout(args) -> int:
     return 0
 
 
+def _condition_clip(path, cfg: dict) -> R.ClipRecord:
+    """The `--cond` clip, read and checked against the rollout memory, the
+    rollout fps and the model's channels and patch before the checkpoint is
+    read or any output exists; every mismatch is named in one DataError."""
+    record = R.read_clip(path)
+    n, c, h, w = record.frames.shape
+    m_memory, fps = cfg["train"]["memory_span_d"], cfg["rollout"]["fps"]
+    channels, patch = cfg["model"]["channels"], cfg["model"]["patch"]
+    problems = []
+    if n != m_memory:
+        problems.append(f"has {n} frames, rollout memory expects exactly {m_memory}")
+    if record.fps != fps:
+        problems.append(f"is {record.fps} fps, rollout.fps is {fps}")
+    if c != channels:
+        problems.append(f"has {c} channels, model.channels is {channels}")
+    if h % patch or w % patch:
+        problems.append(f"has {h}x{w} frames, not divisible by model.patch {patch}")
+    if problems:
+        raise DataError(f"condition clip {path} " + "; ".join(problems))
+    return record
+
+
 def _chunk_record(index, written, seconds, steps, ref, last, pixels, frames) -> dict:
     """One line of `<out>.chunks.jsonl`. Pixel statistics are in 0-255 units:
     `seam` is the mean |first new frame - last memory frame| (None for a
@@ -245,14 +259,15 @@ def _clip_paths(path) -> list[Path]:
 
 
 def cmd_eval(args) -> int:
-    cfg = cfgmod.load_config(args.config)
+    cfg = cfgmod.load_config(args.config, overrides=None if args.window is None
+                             else {"eval": {"window": args.window}})
     requested = [m.strip() for m in args.metrics.split(",") if m.strip()]
     bad = [m for m in requested if m not in METRIC_NAMES]
     if bad:
         raise UsageError(
             f"unknown metric name(s) {bad}; valid: {', '.join(METRIC_NAMES)}"
         )
-    mcfg = cfgmod.metric_config(cfg, args.window)
+    mcfg = cfgmod.metric_config(cfg)
     gen = _clip_paths(args.gen)
     ref = _clip_paths(args.ref)
     # the feature net is seeded by the channel count: one count for every clip
@@ -281,7 +296,10 @@ def cmd_eval(args) -> int:
     gen_frame_feats, gen_stack_feats = [], []
     for path in gen:
         vid = clip_frames(path)
-        values, f, s = M.clip_metrics(vid, mcfg, requested, ref_frames, ref_stacks)
+        try:
+            values, f, s = M.clip_metrics(vid, mcfg, requested, ref_frames, ref_stacks)
+        except LongroadError as e:  # same class, so the same exit code
+            raise type(e)(f"clip {path}: {e}") from e
         per_clip[path.name] = {"frames": int(vid.shape[0]), **values}
         gen_frame_feats.append(f)
         if s.shape[0]:

@@ -166,10 +166,8 @@ def train_config(cfg: dict) -> TrainConfig:
                           for k, v in cfg["train"].items()})
 
 
-def metric_config(cfg: dict, window: int | None = None) -> MetricConfig:
-    """The eval section; `window`, when given, replaces eval.window."""
-    window = cfg["eval"]["window"] if window is None else window
-    return MetricConfig(**{**cfg["eval"], "window": window})
+def metric_config(cfg: dict) -> MetricConfig:
+    return MetricConfig(**cfg["eval"])
 
 
 def config_hash(cfg: dict) -> str:

@@ -31,6 +31,13 @@ def no_grad():
     finally:
         _GRAD_ENABLED.pop()
 
+
+def _recording(parents) -> bool:
+    """Whether an op on `parents` goes on the tape: recording is on and some
+    parent needs a gradient."""
+    return _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
+
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -67,7 +74,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
+        out.requires_grad = _recording(parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward_fn
@@ -170,33 +177,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _node(out: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
     """The tape node of an op whose parents' gradients share no work.
 
-    `grads[i](g)` is parent i's local gradient for the output gradient `g`.
-    The one backward skips a parent that needs no gradient, sums the rest
-    back to the parent's shape and accumulates them in parent order, so a
-    tensor passed twice (`mul(x, x)`) adds its two terms in that order.
+    `grads[i](g)` is parent i's local gradient for the output gradient `g`;
+    the node's backward is `_backprop` over all parents.
 
-    Five ops keep a backward of their own. In `linear`, `mlp`, `attention`
-    and `modulated_norm` the parents' gradients share arrays: the folded
-    GEMM operand, fc1's output and the GELU cdf, the attention `ds`, the
-    normalised `d`. `layer_norm` sums its gain and bias gradients over an
-    arbitrary axis, which `_unbroadcast` does not do.
+    Two ops keep a backward of their own, because one intermediate gradient
+    feeds several parents and is built once: in `mlp`, fc1's output gradient
+    `gh` feeds `x`, `w1` and `b1` (each layer's parents go to `_backprop`);
+    in `attention`, the score gradient `ds` feeds `q` and `k`.
     """
-    def bw(g):
-        for p, grad in zip(parents, grads):
-            if p.requires_grad:
-                _accum(p, _unbroadcast(grad(g), p.shape))
+    return Tensor._from_op(out, parents, lambda g: _backprop(parents, grads, g))
 
-    return Tensor._from_op(out, parents, bw)
+
+def _backprop(parents: tuple[Tensor, ...], grads, g: np.ndarray):
+    """Skip a parent that needs no gradient, sum the rest back to the
+    parent's shape and accumulate them in parent order, so a tensor passed
+    twice (`mul(x, x)`) adds its two terms in that order."""
+    for p, grad in zip(parents, grads):
+        if p.requires_grad:
+            _accum(p, _unbroadcast(grad(g), p.shape))
 
 
 # -- elementwise arithmetic ---------------------------------------------------
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """A binary op's operands as tensors; a non-tensor takes the other
-    operand's dtype, float32 if neither is a tensor."""
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=getattr(b, "dtype", np.float32)))
+    """A binary op's operands as tensors: `a` is one, and a non-tensor `b`
+    takes its dtype."""
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.dtype))
     return a, b
@@ -372,7 +378,7 @@ def _gelu_backward(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU; float32 through `_gelu32`, bit-equal to scipy's erf."""
     x = a.data
-    out, cdf = _gelu_forward(x, keep_cdf=_GRAD_ENABLED[-1] and a.requires_grad)
+    out, cdf = _gelu_forward(x, keep_cdf=_recording((a,)))
     return _node(out, (a,), [lambda g: _gelu_backward(x, cdf, g)])
 
 
@@ -422,22 +428,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1,
     inv = 1.0 / np.sqrt(var + np.asarray(epsilon, dtype=x.dtype))
     xhat = centered * inv
     out = gd * xhat + bd
+    other = tuple(i for i in range(x.ndim) if i != ax)
 
-    def bw(g):
-        if gain.requires_grad:
-            other = tuple(i for i in range(x.ndim) if i != ax)
-            _accum(gain, (g * xhat).sum(axis=other))
-        if bias.requires_grad:
-            other = tuple(i for i in range(x.ndim) if i != ax)
-            _accum(bias, g.sum(axis=other))
-        if x.requires_grad:
-            dxhat = g * gd
-            # standard layer-norm backward over the normalized axis
-            m1 = dxhat.mean(axis=ax, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
-            _accum(x, inv * (dxhat - m1 - xhat * m2))
+    def grad_x(g):
+        dxhat = g * gd
+        # standard layer-norm backward over the normalized axis
+        m1 = dxhat.mean(axis=ax, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
+        return inv * (dxhat - m1 - xhat * m2)
 
-    return Tensor._from_op(out, (x, gain, bias), bw)
+    return _node(out, (x, gain, bias),
+                 [grad_x, lambda g: (g * xhat).sum(axis=other), lambda g: g.sum(axis=other)])
 
 
 # -- contraction ----------------------------------------------------------------
@@ -456,7 +457,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                                lambda g: np.matmul(a.data.swapaxes(-1, -2), g)])
 
 
-# -- fused layers: one tape node each, hand-written backward -----------------------
+# -- fused layers: one tape node each ---------------------------------------------
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -468,21 +469,30 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _affine_backward(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray,
-                     need_x: bool) -> np.ndarray | None:
-    """Accumulate the weight and bias gradients of `_affine(x, w, b)` for the
-    output gradient `g`; return the input gradient if `need_x`."""
+# The local gradients of `_affine(x, w, b)` for its output gradient `g`, each
+# over the folded 2-D view. The input gradient is a new array that `_accum`
+# keeps without a copy.
+
+
+def _affine_grad_x(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     d_in, d_out = w.shape
-    g2 = g.reshape(-1, d_out)
-    gx = None
-    if need_x:
-        gx = np.empty(x.shape, dtype=g.dtype)
-        np.matmul(g2, w.data.T, out=gx.reshape(-1, d_in))
-    if w.requires_grad:
-        _accum(w, x.reshape(-1, d_in).T @ g2)
-    if b.requires_grad:
-        _accum(b, g2.sum(axis=0))
+    gx = np.empty(g.shape[:-1] + (d_in,), dtype=g.dtype)
+    np.matmul(g.reshape(-1, d_out), w.T, out=gx.reshape(-1, d_in))
     return gx
+
+
+def _affine_grad_w(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _affine_grad_b(g: np.ndarray) -> np.ndarray:
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
+def _affine_grads(x: Tensor, w: Tensor) -> list:
+    """The local gradients of x, w and b, as `_node` and `_backprop` take them."""
+    return [lambda g: _affine_grad_x(g, w.data), lambda g: _affine_grad_w(x.data, g),
+            _affine_grad_b]
 
 
 def _check_linear(x_shape: tuple[int, ...], w: Tensor, b: Tensor):
@@ -496,14 +506,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` over the last axis of `x`. Leading axes fold into one 2-D
     GEMM, forward and backward, so the weight gradient is `x2ᵀ @ g2`."""
     _check_linear(x.shape, w, b)
-    out = _affine(x.data, w.data, b.data)
-
-    def bw(g):
-        gx = _affine_backward(x.data, w, b, g, x.requires_grad)
-        if gx is not None:
-            _accum(x, gx)
-
-    return Tensor._from_op(out, (x, w, b), bw)
+    return _node(_affine(x.data, w.data, b.data), (x, w, b), _affine_grads(x, w))
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -514,7 +517,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     _check_linear(x.shape, w1, b1)
     _check_linear(x.shape[:-1] + w1.shape[1:], w2, b2)
     parents = (x, w1, b1, w2, b2)
-    track = _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
+    track = _recording(parents)
     h = _affine(x.data, w1.data, b1.data)
     act, cdf = _gelu_forward(h, keep_cdf=track)
     if not track:
@@ -523,13 +526,12 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     def bw(g):
         need_h = x.requires_grad or w1.requires_grad or b1.requires_grad
-        g_act = _affine_backward(h * cdf if w2.requires_grad else h, w2, b2, g, need_h)
+        g_act = _affine_grad_x(g, w2.data) if need_h else None
+        _backprop((w2, b2), [lambda g: _affine_grad_w(h * cdf, g), _affine_grad_b], g)
         if need_h:
             gh = _gelu_backward(h, cdf, g_act)
             del g_act
-            gx = _affine_backward(x.data, w1, b1, gh, x.requires_grad)
-            if gx is not None:
-                _accum(x, gx)
+            _backprop((x, w1, b1), _affine_grads(x, w1), gh)
 
     return Tensor._from_op(out, parents, bw)
 
@@ -608,8 +610,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
         gh = _split_heads(g, heads)
         if v.requires_grad:
             _accum(v, _merge_heads(np.matmul(p.swapaxes(-1, -2), gh)))
-        if not (q.requires_grad or k.requires_grad):
-            return
         ds = np.matmul(gh, vh.swapaxes(-1, -2))        # d(weights)
         ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
         ds *= p
@@ -638,20 +638,15 @@ def modulated_norm(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
     out = xhat * gain
     out += shift.data
 
-    def bw(g):
-        if shift.requires_grad:
-            _accum(shift, _unbroadcast(g, shift.shape))
-        if scale.requires_grad:
-            _accum(scale, _unbroadcast(g * xhat, scale.shape))
-        if x.requires_grad:
-            d = g * gain                                # d(xhat)
-            m2 = np.einsum("...i,...i->...", d, xhat)[..., None] / x.shape[-1]
-            d -= d.mean(axis=-1, keepdims=True)
-            d -= xhat * m2
-            d *= inv
-            _accum(x, d)
+    def grad_x(g):
+        d = g * gain                                    # d(xhat)
+        m2 = np.einsum("...i,...i->...", d, xhat)[..., None] / x.shape[-1]
+        d -= d.mean(axis=-1, keepdims=True)
+        d -= xhat * m2
+        d *= inv
+        return d
 
-    return Tensor._from_op(out, (x, shift, scale), bw)
+    return _node(out, (x, shift, scale), [grad_x, lambda g: g, lambda g: g * xhat])
 
 
 # -- reductions -------------------------------------------------------------------

@@ -174,6 +174,14 @@ def write_condition(tmp_path, frames=4, seed=0, fps=10):
     return path
 
 
+def write_noise_clip(path, shape, fps=10):
+    """A clip of seeded random pixels with the given (N, C, H, W) shape."""
+    frames = np.random.default_rng(0).integers(0, 256, shape).astype(np.uint8)
+    R.write_clip(R.ClipRecord(frames=frames, fps=fps, caption="noise",
+                              commands=np.zeros(shape[0], np.uint8)), path)
+    return path
+
+
 class TestRollout:
     def test_frame_arithmetic(self, trained):
         cond = write_condition(trained["tmp"])
@@ -368,6 +376,27 @@ class TestRollout:
                 in capsys.readouterr().err)
         assert not list(trained["tmp"].glob("x.toyr*"))
 
+    @pytest.mark.parametrize("shape, fps, problems", [
+        ((6, 3, 16, 24), 10, "has 6 frames, rollout memory expects exactly 4"),
+        ((4, 3, 16, 24), 5, "is 5 fps, rollout.fps is 10"),
+        ((4, 1, 16, 24), 10, "has 1 channels, model.channels is 3"),
+        ((4, 3, 15, 24), 10, "has 15x24 frames, not divisible by model.patch 2"),
+        ((6, 1, 16, 23), 5, "has 6 frames, rollout memory expects exactly 4; is 5 fps, "
+         "rollout.fps is 10; has 1 channels, model.channels is 3; has 16x23 frames, "
+         "not divisible by model.patch 2"),
+    ], ids=["frames", "fps", "channels", "patch", "all"])
+    def test_bad_condition_clip_exit_two_before_checkpoint(self, tmp_path, capsys, shape, fps,
+                                                           problems):
+        # the checkpoint does not exist, so an error naming the clip shows
+        # the clip is checked before the checkpoint is read
+        cond = write_noise_clip(tmp_path / "cond.toyr", shape, fps)
+        rc = main(["rollout", "--ckpt", str(tmp_path / "absent.idck"),
+                   "--config", str(write_config(tmp_path)), "--cond", str(cond),
+                   "--iters", "1", "--out", str(tmp_path / "x.toyr")])
+        assert rc == 2
+        assert f"data error: condition clip {cond} {problems}\n" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.toyr*"))
+
     def test_direction_without_caption_usage_error(self, tmp_path, capsys):
         # the null condition has no command; the checkpoint does not exist,
         # so an exit 1 shows the rule runs before it is read
@@ -499,6 +528,37 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(tmp_path / named) in err and "channels" in err
+        assert not out.exists()
+
+    def test_window_flag_is_a_config_override(self, tmp_path):
+        data = datagen(tmp_path)
+        cfg = write_config(tmp_path)  # eval.window 8
+        out = tmp_path / "r.json"
+
+        def config_hash(*argv):
+            assert main(["eval", "--gen", str(data), "--ref", str(data), "--config", str(cfg),
+                         "--metrics", "fid_proxy", *argv, "--out", str(out)]) == 0
+            return json.loads(out.read_text())["config_hash"]
+
+        assert config_hash("--window", "8") == config_hash()
+        assert config_hash("--window", "16") != config_hash("--window", "8")
+        for window in ("0", "1"):  # not a positive integer; below MetricConfig's 2
+            assert main(["eval", "--gen", str(data), "--ref", str(data), "--config", str(cfg),
+                         "--window", window, "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("shape, code, message", [
+        ((1, 3, 16, 24), 2, "data error: clip {}: need at least 2 frames, got 1"),
+        ((16, 3, 4, 4), 1, "configuration error: clip {}: frame (4x4) smaller than "
+         "flow block (8)"),
+    ], ids=["one_frame", "below_flow_block"])
+    def test_scoring_error_names_generated_clip(self, tmp_path, capsys, shape, code, message):
+        (tmp_path / "gen").mkdir()
+        clip = write_noise_clip(tmp_path / "gen" / "bad.toyr", shape)
+        out = tmp_path / "r.json"
+        rc = main(["eval", "--gen", str(tmp_path / "gen"), "--ref", str(datagen(tmp_path)),
+                   "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert rc == code
+        assert message.format(clip) in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_flow_call_per_frame_pair(self, tmp_path, monkeypatch):

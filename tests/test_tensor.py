@@ -399,6 +399,144 @@ class TestDeterminism:
         assert T.softmax(x, axis=0).dtype == np.float32
 
 
+# -- node-built layers ----------------------------------------------------------
+# `linear`, `layer_norm` and `modulated_norm` once had backwards of their own,
+# kept here as oracles. Built by `_node`, the ops must give the same bytes:
+# output and every gradient, in either dtype, with frozen parents, a
+# non-contiguous input and an output that two later ops read.
+
+
+def hand_linear(x, w, b):
+    T._check_linear(x.shape, w, b)
+    out = T._affine(x.data, w.data, b.data)
+
+    def bw(g):
+        d_in, d_out = w.shape
+        g2 = g.reshape(-1, d_out)
+        if x.requires_grad:
+            gx = np.empty(x.shape, dtype=g.dtype)
+            np.matmul(g2, w.data.T, out=gx.reshape(-1, d_in))
+        if w.requires_grad:
+            T._accum(w, x.data.reshape(-1, d_in).T @ g2)
+        if b.requires_grad:
+            T._accum(b, g2.sum(axis=0))
+        if x.requires_grad:
+            T._accum(x, gx)
+
+    return Tensor._from_op(out, (x, w, b), bw)
+
+
+def hand_layer_norm(x, gain, bias, axis, epsilon=1e-5):
+    n = x.shape[axis]
+    ax = axis % x.ndim
+    bshape = [1] * x.ndim
+    bshape[ax] = n
+    gd = gain.data.reshape(bshape)
+    bd = bias.data.reshape(bshape)
+    mu = x.data.mean(axis=ax, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=ax, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(epsilon, dtype=x.dtype))
+    xhat = centered * inv
+    out = gd * xhat + bd
+
+    def bw(g):
+        other = tuple(i for i in range(x.ndim) if i != ax)
+        if gain.requires_grad:
+            T._accum(gain, (g * xhat).sum(axis=other))
+        if bias.requires_grad:
+            T._accum(bias, g.sum(axis=other))
+        if x.requires_grad:
+            dxhat = g * gd
+            m1 = dxhat.mean(axis=ax, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=ax, keepdims=True)
+            T._accum(x, inv * (dxhat - m1 - xhat * m2))
+
+    return Tensor._from_op(out, (x, gain, bias), bw)
+
+
+def hand_modulated_norm(x, shift, scale):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(1e-6, dtype=x.dtype))
+    xhat *= inv
+    gain = scale.data + 1.0
+    out = xhat * gain
+    out += shift.data
+
+    def bw(g):
+        if shift.requires_grad:
+            T._accum(shift, T._unbroadcast(g, shift.shape))
+        if scale.requires_grad:
+            T._accum(scale, T._unbroadcast(g * xhat, scale.shape))
+        if x.requires_grad:
+            d = g * gain
+            m2 = np.einsum("...i,...i->...", d, xhat)[..., None] / x.shape[-1]
+            d -= d.mean(axis=-1, keepdims=True)
+            d -= xhat * m2
+            d *= inv
+            T._accum(x, d)
+
+    return Tensor._from_op(out, (x, shift, scale), bw)
+
+
+NODE_BUILT = {  # name: (op, oracle, shapes of the two other parents for x (A, B, H))
+    "linear": (T.linear, hand_linear, lambda a, b, h, k: [(h, k), (k,)]),
+    "layer_norm_last": (lambda x, g, b: T.layer_norm(x, g, b, axis=-1),
+                        lambda x, g, b: hand_layer_norm(x, g, b, axis=-1),
+                        lambda a, b, h, k: [(h,), (h,)]),
+    "layer_norm_first": (lambda x, g, b: T.layer_norm(x, g, b, axis=0),
+                         lambda x, g, b: hand_layer_norm(x, g, b, axis=0),
+                         lambda a, b, h, k: [(a,), (a,)]),
+    "modulated_norm": (T.modulated_norm, hand_modulated_norm,
+                       lambda a, b, h, k: [(a, 1, h)] * 2),
+    "modulated_norm_full": (T.modulated_norm, hand_modulated_norm,
+                            lambda a, b, h, k: [(a, b, h)] * 2),
+}
+
+
+class TestNodeBuiltLayers:
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(NODE_BUILT)),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           dims=st.tuples(*[st.integers(1, 5)] * 4), seed=st.integers(0, 2**32 - 1),
+           frozen=st.tuples(*[st.booleans()] * 3), transposed=st.booleans(),
+           twice=st.booleans())
+    def test_bit_equal_to_hand_written_backward(self, name, dtype, dims, seed, frozen,
+                                                transposed, twice):
+        op, oracle, other_shapes = NODE_BUILT[name]
+        a, b, h, k = dims
+        rng = np.random.default_rng(seed)
+
+        def leaf(shape, frozen):
+            return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=not frozen)
+
+        # a transposed x is a view that the leaf's gradient flows back through
+        x_leaf = leaf((b, a, h) if transposed else (a, b, h), frozen[0])
+        others = [leaf(s, f) for s, f in zip(other_shapes(a, b, h, k), frozen[1:])]
+        leaves = [x_leaf] + others
+        results = []
+        for fn in (op, oracle):
+            for t in leaves:
+                t.zero_grad()
+            x = T.transpose(x_leaf, (1, 0, 2)) if transposed else x_leaf
+            assert x.data.flags.c_contiguous == (not transposed or a == 1 or b == 1)
+            y = fn(x, *others)
+            w1, w2 = (Tensor(np.random.default_rng(seed + i).normal(size=y.shape).astype(dtype))
+                      for i in (1, 2))
+            loss = T.reduce_sum(T.mul(y, w1))
+            if twice:
+                loss = T.add(loss, T.reduce_sum(T.mul(T.mul(y, y), w2)))
+            loss.backward()
+            results.append([y.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 # -- fused layers ---------------------------------------------------------------
 # The oracles are the compositions of primitive ops that `linear`, `attention`,
 # `modulated_norm`, `mlp` and `gated_residual` replaced. The first three sum

@@ -161,9 +161,8 @@ class MultiHeadAttention(Module):
     def logits(self, q_in: Tensor, kv_in: Tensor, rope=None) -> Tensor:
         """Pre-softmax attention scores (B, heads, n_q, n_kv), values only,
         from the same scoring code the attention op runs."""
-        _, _, scores = T.attention_scores(self.wq(q_in).data, self.wk(kv_in).data,
-                                          self.heads, self.scale, rope)
-        return Tensor(scores)
+        return Tensor(T.attention_scores(self.wq(q_in).data, self.wk(kv_in).data,
+                                         self.heads, self.scale, rope))
 
     def __call__(self, q_in: Tensor, kv_in: Tensor, rope=None) -> Tensor:
         out = T.attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in),

@@ -549,77 +549,124 @@ def gated_residual(x: Tensor, gate: Tensor, y: Tensor) -> Tensor:
     return _node(out, (x, gate, y), [lambda g: g, lambda g: g * y.data, lambda g: g * gate.data])
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """(B, n, H) -> (B, heads, n, H/heads), a view."""
+# Attention runs in blocks of at most this many score elements (512 KB of
+# float32), so each block's scores and weights stay in L2.
+_ATTN_BLOCK = 1 << 17
+
+
+def _split_heads(x: np.ndarray, heads: int, rope=None) -> np.ndarray:
+    """(B, n, H) -> (B, heads, n, H/heads): a view, or with `rope` (cos, sin
+    tables of shape (n, dh/2)) a rotated copy."""
     b, n, h = x.shape
-    return x.reshape(b, n, heads, h // heads).transpose(0, 2, 1, 3)
+    xh = x.reshape(b, n, heads, h // heads).transpose(0, 2, 1, 3)
+    return xh if rope is None else _rotate(xh, *rope)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(B, heads, n, dh) -> a new (B, n, heads*dh) array."""
-    b, heads, n, dh = x.shape
-    out = np.empty((b, n, heads * dh), dtype=x.dtype)
-    out.reshape(b, n, heads, dh)[...] = x.transpose(0, 2, 1, 3)
-    return out
-
-
-def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out=None) -> np.ndarray:
     """Rotary encoding: turn the disjoint half-pairs of the last axis of
-    (..., L, dh) by each position's angle; `_rotate(y, cos, -sin)` undoes it."""
+    (..., L, dh) by each position's angle, into `out` if given;
+    `_rotate(y, cos, -sin)` undoes it."""
     half = x.shape[-1] // 2
     x1, x2 = x[..., :half], x[..., half:]
-    out = np.empty(x.shape, dtype=x.dtype)
+    out = np.empty(x.shape, dtype=x.dtype) if out is None else out
     out[..., :half] = x1 * cos - x2 * sin
     out[..., half:] = x1 * sin + x2 * cos
     return out
 
 
+def _scores(qh: np.ndarray, kh: np.ndarray, scale: float, out=None) -> np.ndarray:
+    """Pre-softmax scores `qh @ khᵀ · scale` of split heads, into `out` if given."""
+    s = np.matmul(qh, kh.swapaxes(-1, -2), out=out)
+    s *= scale
+    return s
+
+
 def attention_scores(q: np.ndarray, k: np.ndarray, heads: int, scale: float,
-                     rope=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split (B, n, H) projections into heads, rotate q and k by `rope`
-    (cos, sin tables of shape (n, dh/2)), and return the rotated heads with
-    the pre-softmax scores `qh @ khᵀ · scale` of shape (B, heads, n_q, n_kv)."""
-    qh, kh = _split_heads(q, heads), _split_heads(k, heads)
-    if rope is not None:
-        cos, sin = rope
-        qh, kh = _rotate(qh, cos, sin), _rotate(kh, cos, sin)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2))
-    scores *= scale
-    return qh, kh, scores
+                     rope=None) -> np.ndarray:
+    """The (B, heads, n_q, n_kv) pre-softmax scores of (B, n, H) projections,
+    split, rotated and scored as `attention` does it."""
+    return _scores(_split_heads(q, heads, rope), _split_heads(k, heads, rope), scale)
+
+
+def _attention_blocks(b: int, heads: int, n_q: int, n_kv: int) -> list[tuple[slice, slice]]:
+    """(batch, head) slices covering (b, heads) in blocks of at most
+    `_ATTN_BLOCK` scores, or of one head: whole batch rows, or one row's
+    heads split. Queries and keys are never split (`gk` sums over queries)."""
+    per_head = max(1, n_q * n_kv)
+    rows, cols = _ATTN_BLOCK // (heads * per_head), min(heads, _ATTN_BLOCK // per_head)
+    rows, cols = max(1, rows), max(1, cols)
+    return [(slice(i, i + rows), slice(j, j + cols))
+            for i in range(0, b, rows) for j in range(0, heads, cols)]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
               rope=None) -> Tensor:
     """Multi-head `softmax(q kᵀ · scale) v` over (B, n_q, H) queries and
-    (B, n_kv, H) keys/values, heads merged back into (B, n_q, H). The tape
-    keeps only the attention weights and the rotated heads."""
-    if (q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or k.shape[0] != q.shape[0]
-            or k.shape[2] != q.shape[2] or q.shape[2] % heads):
-        raise ShapeError(f"attention needs (B, n_q, H) and two (B, n_kv, H) with H "
-                         f"divisible by {heads} heads, got {q.shape}, {k.shape}, {v.shape}")
-    qh, kh, p = attention_scores(q.data, k.data, heads, scale, rope)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    vh = _split_heads(v.data, heads)
+    (B, n_kv, H) keys/values, heads merged back into (B, n_q, H).
 
-    def unrotate(gh):
-        return gh if rope is None else _rotate(gh, rope[0], -rope[1])
+    Each block of `_attention_blocks` builds its weights, writes them times
+    v into the merged output and drops them. The tape keeps the rotated
+    heads (views of q and k without `rope`) and each score row's max and
+    sum, (B, heads, n_q, 1) each; the backward rebuilds each block's weights
+    with the forward's operations, so every bit is a one-shot softmax's."""
+    if (q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or k.shape[0] != q.shape[0]
+            or k.shape[2] != q.shape[2] or k.shape[1] == 0 or heads < 1
+            or q.shape[2] % heads):
+        raise ShapeError(f"attention needs (B, n_q, H) and two (B, n_kv >= 1, H) with H "
+                         f"divisible by {heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    b, n_q, _ = q.shape
+    qh, kh = _split_heads(q.data, heads, rope), _split_heads(k.data, heads, rope)
+    vh = _split_heads(v.data, heads)
+    blocks = _attention_blocks(b, heads, n_q, k.shape[1])
+    # room for one block's scores: the first block is as large as any
+    block_shape = (qh[blocks[0]].shape[:2] if blocks else (0, 0)) + (n_q, k.shape[1])
+    dt, out_dt = np.result_type(qh, kh), np.result_type(qh, kh, vh)
+    row_max, row_sum = np.empty((2, b, heads, n_q, 1), dt)
+
+    def weights(blk, buf, fresh):
+        # the block's weights in `buf`; `fresh` takes each row's max and sum
+        qb = qh[blk]
+        s = _scores(qb, kh[blk], scale, out=buf[:qb.shape[0], :qb.shape[1]])
+        if fresh:
+            np.max(s, axis=-1, keepdims=True, out=row_max[blk])
+        s -= row_max[blk]
+        np.exp(s, out=s)
+        if fresh:
+            np.sum(s, axis=-1, keepdims=True, out=row_sum[blk])
+        s /= row_sum[blk]
+        return s
+
+    out = np.empty(q.shape, out_dt)
+    out_h, buf = _split_heads(out, heads), np.empty(block_shape, dt)
+    for blk in blocks:
+        np.matmul(weights(blk, buf, True), vh[blk], out=out_h[blk])
+
+    def head_grad(ds, xh, out):  # `ds @ xh`, unrotated, into a merged gradient
+        if rope is None:
+            return np.matmul(ds, xh, out=out)
+        _rotate(np.matmul(ds, xh), rope[0], -rope[1], out=out)
 
     def bw(g):
-        gh = _split_heads(g, heads)
-        if v.requires_grad:
-            _accum(v, _merge_heads(np.matmul(p.swapaxes(-1, -2), gh)))
-        ds = np.matmul(gh, vh.swapaxes(-1, -2))        # d(weights)
-        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
-        ds *= p
-        ds *= scale                                     # d(scores)
-        if q.requires_grad:
-            _accum(q, _merge_heads(unrotate(np.matmul(ds, kh))))
-        if k.requires_grad:
-            _accum(k, _merge_heads(unrotate(np.matmul(ds.swapaxes(-1, -2), qh))))
+        gh, g_dt = _split_heads(g, heads), np.result_type(out_dt, g)
+        gv, gq, gk = (np.empty(t.shape, g_dt) if t.requires_grad else None for t in (v, q, k))
+        p_buf, ds_buf = np.empty(block_shape, dt), np.empty(block_shape, g_dt)
+        for blk in blocks:
+            p = weights(blk, p_buf, False)
+            if gv is not None:
+                np.matmul(p.swapaxes(-1, -2), gh[blk], out=_split_heads(gv, heads)[blk])
+            ds = np.matmul(gh[blk], vh[blk].swapaxes(-1, -2), out=ds_buf[:p.shape[0], :p.shape[1]])
+            ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+            ds *= p
+            ds *= scale                                     # d(scores)
+            if gq is not None:
+                head_grad(ds, kh[blk], _split_heads(gq, heads)[blk])
+            if gk is not None:
+                head_grad(ds.swapaxes(-1, -2), qh[blk], _split_heads(gk, heads)[blk])
+        for t, gt in ((v, gv), (q, gq), (k, gk)):
+            if gt is not None:
+                _accum(t, gt)
 
-    return Tensor._from_op(_merge_heads(np.matmul(p, vh)), (q, k, v), bw)
+    return Tensor._from_op(out, (q, k, v), bw)
 
 
 def modulated_norm(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:

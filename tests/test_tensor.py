@@ -766,6 +766,148 @@ class TestFusedOps:
         assert nodes < want_nodes
 
 
+def hand_attention(q, k, v, heads, scale, rope=None):
+    """The one-shot attention that the blocked op replaced: the whole
+    (B, heads, n_q, n_kv) softmax is built at once and kept for a
+    hand-written backward."""
+    def split(x):
+        b, n, h = x.shape
+        return x.reshape(b, n, heads, h // heads).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        b, _, n, dh = x.shape
+        out = np.empty((b, n, heads * dh), dtype=x.dtype)
+        out.reshape(b, n, heads, dh)[...] = x.transpose(0, 2, 1, 3)
+        return out
+
+    def rotate(x, cos, sin):
+        half = x.shape[-1] // 2
+        x1, x2 = x[..., :half], x[..., half:]
+        out = np.empty(x.shape, dtype=x.dtype)
+        out[..., :half] = x1 * cos - x2 * sin
+        out[..., half:] = x1 * sin + x2 * cos
+        return out
+
+    qh, kh = split(q.data), split(k.data)
+    if rope is not None:
+        qh, kh = rotate(qh, *rope), rotate(kh, *rope)
+    p = np.matmul(qh, kh.swapaxes(-1, -2))
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    vh = split(v.data)
+
+    def unrotate(gh):
+        return gh if rope is None else rotate(gh, rope[0], -rope[1])
+
+    def bw(g):
+        gh = split(g)
+        if v.requires_grad:
+            T._accum(v, merge(np.matmul(p.swapaxes(-1, -2), gh)))
+        ds = np.matmul(gh, vh.swapaxes(-1, -2))
+        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+        ds *= p
+        ds *= scale
+        if q.requires_grad:
+            T._accum(q, merge(unrotate(np.matmul(ds, kh))))
+        if k.requires_grad:
+            T._accum(k, merge(unrotate(np.matmul(ds.swapaxes(-1, -2), qh))))
+
+    return Tensor._from_op(merge(np.matmul(p, vh)), (q, k, v), bw)
+
+
+def attention_run(fn, q, k, v, heads, scale, rope, seed=0):
+    """Output and q/k/v gradients of a weighted sum of `fn`'s output."""
+    for t in (q, k, v):
+        t.zero_grad()
+    y = fn(q, k, v, heads, scale, rope)
+    w = np.random.default_rng(seed).normal(size=y.shape).astype(y.dtype)
+    T.reduce_sum(T.mul(y, Tensor(w))).backward()
+    return [y.data] + [t.grad for t in (q, k, v)]
+
+
+class TestBlockedAttention:
+    @settings(max_examples=150, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           dims=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6),
+                          st.integers(1, 3), st.sampled_from([2, 4])),
+           use_rope=st.booleans(), shared=st.booleans(), frozen=st.tuples(*[st.booleans()] * 3),
+           block=st.integers(1, 120), nonfinite=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_one_shot(self, dtype, dims, use_rope, shared, frozen, block,
+                                   nonfinite, seed):
+        # blocks of `block` scores split the batch, unevenly, or one row's heads
+        b, n_q, n_kv, heads, dh = dims
+        if use_rope or shared:
+            n_kv = n_q  # a rope table rotates queries and keys alike
+        rng = np.random.default_rng(seed)
+        data = [rng.normal(size=(b, n, heads * dh)).astype(dtype) for n in (n_q, n_kv, n_kv)]
+        for _ in range(nonfinite):  # in q or k: a score row or column goes non-finite
+            x = data[rng.integers(0, 2)].reshape(-1)
+            x[rng.integers(0, x.size)] = rng.choice([np.inf, -np.inf, np.nan])
+        q, k, v = (Tensor(x, requires_grad=not f) for x, f in zip(data, frozen))
+        if shared:
+            k = v = q
+        rope = rope_for(n_q, dh, rng) if use_rope else None
+        if rope is not None and dtype == np.float32:
+            rope = tuple(t.astype(np.float32) for t in rope)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(T, "_ATTN_BLOCK", block)
+            got = attention_run(T.attention, q, k, v, heads, 0.7, rope, seed)
+            want = attention_run(hand_attention, q, k, v, heads, 0.7, rope, seed)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes()
+
+    def test_zero_keys_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            T.attention(t64(np.zeros((2, 3, 4))), *[t64(np.zeros((2, 0, 4)))] * 2,
+                        heads=2, scale=1.0)
+
+    def test_zero_heads_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            T.attention(*[t64(np.zeros((2, 3, 4)))] * 3, heads=0, scale=1.0)
+
+    @pytest.mark.parametrize("b, n_q", [(0, 3), (2, 0)])
+    def test_empty_batch_or_queries(self, b, n_q):
+        q, k, v = t64(np.zeros((b, n_q, 4))), t64(np.ones((b, 3, 4))), t64(np.ones((b, 3, 4)))
+        got = attention_run(T.attention, q, k, v, 2, 1.0, None)
+        want = attention_run(hand_attention, q, k, v, 2, 1.0, None)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_tape_keeps_no_weights(self):
+        # the node keeps each row's max and sum, not the (B, heads, n_q, n_kv)
+        # weights, and its backward rebuilds them one block at a time
+        import tracemalloc
+
+        rng = np.random.default_rng(46)
+        b, n, heads = 16, 96, 4
+        inputs = [Tensor(rng.normal(size=(b, n, 32)).astype(np.float32), requires_grad=True)
+                  for _ in range(3)]
+        weights = b * heads * n * n * 4
+        assert weights > 4 * T._ATTN_BLOCK * 4
+
+        def traced(fn):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                y = fn(*inputs, heads, 0.5)
+                kept = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+                weighted_sum(y).backward()
+                return kept, tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        kept, peak = traced(T.attention)
+        one_shot_kept, one_shot_peak = traced(hand_attention)
+        assert kept < weights <= one_shot_kept
+        assert one_shot_peak - peak >= weights
+
+
 def test_denoiser_float32_bit_equal_to_unfused_with_fewer_nodes(monkeypatch):
     """The fused MLP and gated-residual nodes change no bit of a float32
     forward or backward, and remove 6 tape nodes per block plus 2 for the

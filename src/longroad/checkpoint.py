@@ -12,8 +12,8 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, FormatError
-from .fileio import atomic_write
+from .errors import FormatError
+from .fileio import atomic_write, read_binary
 from .tensor import Tensor
 
 MAGIC = b"IDCK"
@@ -42,63 +42,36 @@ def save_tensors(path, tensors: dict[str, Tensor | np.ndarray]) -> None:
             f.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
 
 
-def _bad(path, message: str, offset: int | None = None) -> FormatError:
-    """A malformed checkpoint's error names its file."""
-    return FormatError(f"checkpoint {path}: {message}", offset=offset)
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.path = path
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise _bad(self.path, f"truncated while reading {what}", self.pos)
-        chunk = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-
 def load_tensors(path) -> dict[str, np.ndarray]:
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise DataError(f"cannot read checkpoint {path}: {e.strerror or e}") from e
-    r = _Reader(blob, path)
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise _bad(path, f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-    version, count = r.unpack("<HI", "header")
-    if version != VERSION:
-        raise _bad(path, f"unsupported version {version}", 4)
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = r.unpack("<H", "name length")
-        try:
-            name = r.take(name_len, "name").decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise _bad(path, "tensor name is not valid UTF-8", r.pos - name_len + e.start)
-        (rank,) = r.unpack("<B", "rank")
-        if rank > _MAX_RANK:
-            raise _bad(path, f"tensor rank {rank} exceeds {_MAX_RANK}", r.pos - 1)
-        dims_at = r.pos
-        dims = tuple(r.unpack(f"<{rank}I", "dims")) if rank else ()
-        (code,) = r.unpack("<B", "dtype code")
-        if code not in _DTYPE_CODES:
-            raise _bad(path, f"unknown dtype code {code}", r.pos - 1)
-        dt = _DTYPE_CODES[code]
-        n = math.prod(dims)  # Python ints: a crafted header cannot wrap around
-        raw = r.take(n * dt.itemsize, f"tensor {name!r} payload")
-        if math.prod(d for d in dims if d) * dt.itemsize > _MAX_BYTES:
-            # empty, yet numpy refuses a shape whose nonzero dims overflow
-            raise _bad(path, f"tensor {name!r} dims {dims} exceed the largest array", dims_at)
-        out[name] = np.frombuffer(raw, dtype=dt).reshape(dims).copy()
+    with read_binary(path, "checkpoint") as r:
+        magic = r.take(4, "magic")
+        if magic != MAGIC:
+            raise r.error(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
+        version, count = r.unpack("<HI", "header")
+        if version != VERSION:
+            raise r.error(f"unsupported version {version}", 4)
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = r.unpack("<H", "name length")
+            try:
+                name = r.take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise r.error("tensor name is not valid UTF-8", r.pos - name_len + e.start)
+            (rank,) = r.unpack("<B", "rank")
+            if rank > _MAX_RANK:
+                raise r.error(f"tensor rank {rank} exceeds {_MAX_RANK}", r.pos - 1)
+            dims_at = r.pos
+            dims = r.unpack(f"<{rank}I", "dims")
+            (code,) = r.unpack("<B", "dtype code")
+            if code not in _DTYPE_CODES:
+                raise r.error(f"unknown dtype code {code}", r.pos - 1)
+            dt = _DTYPE_CODES[code]
+            # Python ints: a crafted header cannot wrap around
+            values = r.array(dt, math.prod(dims), f"tensor {name!r} payload")
+            if math.prod(d for d in dims if d) * dt.itemsize > _MAX_BYTES:
+                # empty, yet numpy refuses a shape whose nonzero dims overflow
+                raise r.error(f"tensor {name!r} dims {dims} exceed the largest array", dims_at)
+            out[name] = values.reshape(dims)
     return out
 
 
@@ -108,10 +81,11 @@ def load_into(path, named: dict[str, Tensor]) -> None:
     missing = sorted(set(named) - set(stored))
     extra = sorted(set(stored) - set(named))
     if missing or extra:
-        raise _bad(path, f"does not match the model: missing {missing[:4]}, "
-                         f"unexpected {extra[:4]}")
+        raise FormatError(f"checkpoint {path}: does not match the model: "
+                          f"missing {missing[:4]}, unexpected {extra[:4]}")
     for name, p in named.items():
         arr = stored[name]
         if arr.shape != p.shape:
-            raise _bad(path, f"tensor {name!r} has shape {arr.shape}, model expects {p.shape}")
+            raise FormatError(f"checkpoint {path}: tensor {name!r} has shape {arr.shape}, "
+                              f"model expects {p.shape}")
         p.data = np.ascontiguousarray(arr, dtype=p.dtype)

@@ -102,8 +102,6 @@ def _build_model(cfg: dict) -> VideoDenoiser:
 
 def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    if not Path(args.data).exists():
-        raise DataError(f"dataset directory {args.data} does not exist")
     dataset = R.ClipDataset(args.data)
     model = _build_model(cfg)
     tc = cfgmod.train_config(cfg)

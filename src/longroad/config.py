@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .backbone import ModelConfig
 from .curriculum import curriculum_schedule, window_memory
-from .errors import ConfigError, DataError
+from .errors import ConfigError
+from .fileio import input_errors
 from .metrics import MetricConfig
 from .toyroad import HEADER_LIMITS
 from .training import TrainConfig
@@ -50,10 +51,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     problems: list[str] = []
     user = {}
     if path is not None:
-        try:
+        with input_errors(path, "config"):
             raw = Path(path).read_bytes()
-        except OSError as e:
-            raise DataError(f"cannot read config {path}: {e.strerror or e}") from e
         try:
             user = json.loads(raw)
         except ValueError as e:  # bad JSON or bad UTF-8

@@ -113,6 +113,13 @@ def curriculum_schedule(targets, steps, token_budget: int) -> list[CurriculumPha
             for f, s in zip(targets, steps)]
 
 
+def check_clip_frames(dataset: ClipDataset, frames: int) -> None:
+    """The dataset's clips must hold a `frames`-frame window."""
+    if dataset.manifest["frames"] < frames:
+        raise DataError(f"dataset {dataset.root}: clips have {dataset.manifest['frames']} "
+                        f"frames, phase needs {frames}")
+
+
 @dataclass
 class TrainingExample:
     clip: np.ndarray            # (l_curr, C, h, w) model-space float32
@@ -131,10 +138,7 @@ def next_batch(phase: CurriculumPhase, dataset: ClipDataset, rng: np.random.Gene
     man = dataset.manifest
     meta = ClipMeta(fps=man["fps"], base_h=man["height"], base_w=man["width"],
                     base_l=man["frames"])
-    if meta.base_l < phase.frames:
-        raise DataError(
-            f"dataset clips have {meta.base_l} frames, phase needs {phase.frames}"
-        )
+    check_clip_frames(dataset, phase.frames)
     draw = draw_density(rng, meta, alpha_set, phase.frames)
     m = window_memory(phase.frames, draw.alpha, memory_span_d)
     clip_index = int(rng.integers(0, len(dataset)))

@@ -111,9 +111,7 @@ def memory_weight(t_norm: float, lam: float) -> float:
 
 def loss_weights_for(partition: FramePartition, lam: float) -> LossWeights:
     """Weights over future frames; the first future frame always gets 1."""
-    f = partition.n_future
-    if f < 1:
-        raise ContractError("partition has no future frames")
+    f = partition.n_future  # >= 1: a FramePartition keeps M < L
     if lam < 0:
         raise ContractError(f"decay rate must be >= 0, got {lam}")
     t_norm = np.zeros(f) if f == 1 else np.arange(f, dtype=np.float64) / (f - 1)
@@ -258,8 +256,6 @@ def total_loss(batch: MemoryMaskedBatch, pred: DenoisePrediction,
     """Retention-weighted sum over future frames of (MSE + VB). Memory-frame
     predictions are never read, so they contribute exactly zero loss and zero
     gradient."""
-    if batch.partition.n_future < 1:
-        raise ContractError("no future frames to train on")
     m = batch.partition.m_memory
     eps_hat_f = pred.eps_hat[m:]
     v_hat_f = pred.v_hat[m:]

@@ -42,14 +42,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data)
-    if dtype is None:
-        dtype = arr.dtype if arr.dtype in _ALLOWED_DTYPES else np.float32
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    return arr
-
-
 class Tensor:
     """A dense array plus its slot on the autodiff tape.
 
@@ -60,8 +52,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)  # float32 and float64 stay, anything else becomes float32
+        self.data = np.ascontiguousarray(
+            arr, arr.dtype if arr.dtype in _ALLOWED_DTYPES else np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -559,7 +553,12 @@ def _split_heads(x: np.ndarray, heads: int, rope=None) -> np.ndarray:
     tables of shape (n, dh/2)) a rotated copy."""
     b, n, h = x.shape
     xh = x.reshape(b, n, heads, h // heads).transpose(0, 2, 1, 3)
-    return xh if rope is None else _rotate(xh, *rope)
+    if rope is None:
+        return xh
+    if h // heads % 2 or any(np.shape(t) != (n, h // heads // 2) for t in rope):
+        raise ShapeError(f"rope needs two (n, head_dim / 2) tables with n_q = n_kv = n, got "
+                         f"{[np.shape(t) for t in rope]} for {x.shape} in {heads} heads")
+    return _rotate(xh, *rope)
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out=None) -> np.ndarray:

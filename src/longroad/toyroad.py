@@ -16,15 +16,14 @@ u16 L, u8 C, u8 fps, u32 caption length + UTF-8 caption, L command bytes
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError, FormatError
-from .fileio import atomic_write, output_errors, write_json
+from .errors import ContractError, DataError
+from .fileio import atomic_write, input_errors, output_errors, read_binary, write_json
 from .seeding import rng_for
 
 MAGIC = b"TOYR"
@@ -299,50 +298,26 @@ def write_clip_chunks(path, frame_shape, fps: int, caption: str, commands,
 
 
 def read_clip(path) -> ClipRecord:
-    def bad(message, offset):  # a malformed clip's error names its file
-        return FormatError(f"clip {path}: {message}", offset=offset)
-
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise DataError(f"cannot read clip {path}: {e.strerror or e}") from e
-    with f:
-        magic = f.read(4)
+    with read_binary(path, "clip") as r:
+        magic = r.take(min(4, r.size), "magic")  # too short for a magic: a bad one
         if magic != MAGIC:
-            raise bad(f"bad clip magic {magic!r}, expected {MAGIC!r}", 0)
-        pos = 4
-        try:
-            version, h, w, l, c, fps = struct.unpack("<HHHHBB", f.read(10))
-        except struct.error:
-            raise bad("truncated clip header", pos)
-        pos += 10
+            raise r.error(f"bad clip magic {magic!r}, expected {MAGIC!r}", 0)
+        version, h, w, l, c, fps = r.unpack("<HHHHBB", "clip header")
         if version != VERSION:
-            raise bad(f"unsupported clip version {version}", 4)
+            raise r.error(f"unsupported clip version {version}", 4)
         for size, name, at in ((h, "rows", 6), (w, "columns", 8), (c, "channels", 12)):
             if size == 0:
-                raise bad(f"clip has 0 {name}", at)
+                raise r.error(f"clip has 0 {name}", at)
+        (cap_len,) = r.unpack("<I", "caption length")
         try:
-            (cap_len,) = struct.unpack("<I", f.read(4))
-        except struct.error:
-            raise bad("truncated caption length", pos)
-        pos += 4
-        raw = f.read(cap_len)
-        if len(raw) < cap_len:
-            raise bad("truncated caption", pos)
-        try:
-            caption = raw.decode("utf-8")
+            caption = r.take(cap_len, "caption").decode("utf-8")
         except UnicodeDecodeError as e:
-            raise bad("caption is not valid UTF-8", pos + e.start)
-        pos += cap_len
-        commands = np.frombuffer(f.read(l), dtype=np.uint8)
-        if commands.shape[0] < l:
-            raise bad("truncated command track", pos)
-        pos += l
+            raise r.error("caption is not valid UTF-8", r.pos - cap_len + e.start)
+        commands = r.array(np.uint8, l, "command track")
         need = l * c * h * w
-        if os.fstat(f.fileno()).st_size - pos < need:
-            raise bad(f"truncated pixel payload, need {need} bytes", pos)
-        frames = np.fromfile(f, dtype=np.uint8, count=need).reshape(l, c, h, w)
-    return ClipRecord(frames=frames, fps=fps, caption=caption, commands=commands.copy())
+        frames = r.array(np.uint8, need, f"pixel payload, need {need} bytes")
+    return ClipRecord(frames=frames.reshape(l, c, h, w), fps=fps, caption=caption,
+                      commands=commands)
 
 
 # -- dataset -----------------------------------------------------------------------------
@@ -389,10 +364,12 @@ _MANIFEST_KEYS = ("clips", "frames", "height", "width", "fps", "seed")
 
 
 def _read_manifest(path: Path) -> dict:
+    with input_errors(path, "manifest"):
+        raw = path.read_bytes()
     try:
-        manifest = json.loads(path.read_bytes())
-    except (OSError, ValueError) as e:
-        raise DataError(f"cannot read manifest {path}: {e}") from e
+        manifest = json.loads(raw)
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise DataError(f"manifest {path} is not valid JSON: {e}") from e
     if not isinstance(manifest, dict):
         raise DataError(f"manifest {path} must be a JSON object")
     for key in _MANIFEST_KEYS:
@@ -411,17 +388,12 @@ class ClipDataset:
 
     def __init__(self, path):
         self.root = Path(path)
-        manifest_path = self.root / "manifest.json"
-        if not manifest_path.exists():
-            raise DataError(f"no manifest.json under {self.root}")
-        self.manifest = _read_manifest(manifest_path)
+        self.manifest = _read_manifest(self.root / "manifest.json")
         self.paths = sorted(self.root.glob("*.toyr"))
         if len(self.paths) != self.manifest["clips"]:
             raise DataError(
                 f"manifest promises {self.manifest['clips']} clips, found {len(self.paths)}"
             )
-        if not self.paths:
-            raise DataError(f"dataset {self.root} is empty")
         self._records: dict[int, ClipRecord] = {}
         self._scaled: dict[tuple[int, int], np.ndarray] = {}
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import tensor as T
-from .curriculum import TrainingExample, curriculum_schedule, next_batch
+from .curriculum import TrainingExample, check_clip_frames, curriculum_schedule, next_batch
 from .diffusion import (NoiseSchedule, build_schedule, loss_weights_for,
                         make_batch, total_loss)
 from .errors import ConfigError, NumericFailure
@@ -158,11 +158,12 @@ def run_curriculum(model, dataset, cfg: TrainConfig, out_dir,
                    log_path=None, progress=None) -> RunResult:
     """Execute the growing-window phases in order, warm-starting each from the
     previous weights; one checkpoint per phase boundary; JSONL step log."""
+    phases = curriculum_schedule(list(cfg.phase_frames), list(cfg.phase_steps),
+                                 cfg.token_budget)
+    check_clip_frames(dataset, phases[-1].frames)  # the last phase's window is the longest
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     schedule = build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
-    phases = curriculum_schedule(list(cfg.phase_frames), list(cfg.phase_steps),
-                                 cfg.token_budget)
     optimizer = Adam(model.named_parameters(), cfg)
     log_file = open(log_path, "w") if log_path else None
     result = RunResult(checkpoints=[])

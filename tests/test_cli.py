@@ -116,6 +116,19 @@ class TestTrain:
         meta = json.loads((out / "run_meta.json").read_text())
         assert "config_hash" in meta and len(meta["checkpoints"]) == 1
 
+    def test_short_clips_exit_two_before_step_one(self, tmp_path, capsys):
+        # 8-frame clips cannot feed the second phase's 16-frame window: no
+        # phase-1 checkpoint or log line may come first
+        data = datagen(tmp_path, frames=8)
+        cfg = write_config(tmp_path, {**TINY_CONFIG, "train": {
+            **TINY_CONFIG["train"], "phase_frames": [8, 16], "phase_steps": [2, 2]}})
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"dataset {data}: clips have 8 frames, phase needs 16" in err
+        assert not list(out.glob("*.idck")) and not (out / "train_log.jsonl").exists()
+
     def test_unknown_config_key_exit_one(self, tmp_path):
         data = datagen(tmp_path)
         bad = dict(TINY_CONFIG)
@@ -725,6 +738,20 @@ def test_unwritable_output_exit_two(tmp_path, capsys, command):
     assert rc == 2
     err = capsys.readouterr().err
     assert "data error" in err and str(target) in err
+
+
+@pytest.mark.parametrize("flag, kind", [("--config", "config"), ("--ckpt", "checkpoint"),
+                                        ("--cond", "clip")])
+def test_directory_input_exit_two(tmp_path, capsys, flag, kind):
+    # a directory where an input file goes cannot be read: a data error naming it
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    inputs = {"--config": str(write_config(tmp_path)), "--ckpt": str(tmp_path / "m.idck"),
+              "--cond": "none", flag: str(folder)}
+    rc = main(["rollout", *[arg for pair in inputs.items() for arg in pair],
+               "--iters", "1", "--out", str(tmp_path / "x.toyr")])
+    assert rc == 2
+    assert f"data error: cannot read {kind} {folder}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", [b"[1, 2]",                          # not an object

@@ -1,4 +1,7 @@
+import json
 import math
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,14 @@ def test_defaults_are_the_dataclass_defaults():
 
 def test_settable_value_count():
     assert sum(len(values) for values in DEFAULTS.values()) == 41
+
+
+def test_rollout_window_must_exceed_memory_span(tmp_path):
+    path = tmp_path / "config.json"
+    span = DEFAULTS["train"]["memory_span_d"]
+    path.write_text(json.dumps({"rollout": {"l_window": span}}))
+    with pytest.raises(ConfigError, match="rollout.l_window must exceed train.memory_span_d"):
+        load_config(path)
 
 
 # small integers: an accepted t_max builds a schedule of that length

@@ -20,7 +20,7 @@ from .curriculum import curriculum_schedule, window_memory
 from .errors import ConfigError
 from .fileio import input_errors
 from .metrics import MetricConfig
-from .toyroad import HEADER_LIMITS
+from .toyroad import HEADER_LIMITS, VOCAB
 from .training import TrainConfig
 
 
@@ -97,6 +97,9 @@ def _validate(cfg: dict) -> list[str]:
             if cfg[section].get(key, 0) > limit:
                 problems.append(f"{section}.{key} must be <= {limit} to fit the clip "
                                 f"header, got {cfg[section][key]}")
+    if model["text_vocab"] < len(VOCAB):  # every caption holds a digit, ids 15-24
+        problems.append(f"model.text_vocab must be >= {len(VOCAB)}, the caption vocabulary, "
+                        f"got {model['text_vocab']}")
     for key in ("height", "width"):
         if data[key] % model["patch"]:
             problems.append(f"data.{key} ({data[key]}) must be divisible by "

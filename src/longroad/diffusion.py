@@ -200,15 +200,14 @@ def gaussian_kl(mu_q, var_q, mu_p, log_var_p: Tensor) -> Tensor:
     """Elementwise KL( N(mu_q, var_q) || N(mu_p, exp(log_var_p)) ).
 
     Only `log_var_p` carries gradient; means and the q-variance are constants.
+    One tape node, which keeps `num` and `e` for its backward.
     """
-    mu_q = np.asarray(mu_q, dtype=np.float64)
-    mu_p = np.asarray(mu_p, dtype=np.float64)
-    var_q = np.broadcast_to(np.asarray(var_q, dtype=np.float64), mu_q.shape)
-    log_var_q = Tensor(np.log(var_q).copy())
-    num = Tensor(var_q + (mu_q - mu_p) ** 2)
-    half_logs = T.mul(T.sub(log_var_p, log_var_q), 0.5)
-    ratio = T.mul(T.mul(num, T.exp(T.neg(log_var_p))), 0.5)
-    return T.sub(T.add(half_logs, ratio), 0.5)
+    var_q = np.asarray(var_q, dtype=np.float64)
+    num = var_q + (np.asarray(mu_q, dtype=np.float64) - np.asarray(mu_p, dtype=np.float64)) ** 2
+    e = np.exp(-log_var_p.data)
+    half = np.float64(0.5)
+    out = (log_var_p.data - np.log(var_q)) * half + num * e * half - half
+    return T._node(out, (log_var_p,), [lambda g: g * half - ((g * half) * num) * e])
 
 
 def vb_loss(pred: tuple[Tensor, Tensor], x0: np.ndarray, xt: np.ndarray, t,
@@ -232,9 +231,7 @@ def vb_loss(pred: tuple[Tensor, Tensor], x0: np.ndarray, xt: np.ndarray, t,
     var_q = np.exp(log_tilde)
 
     v = v_hat if v_hat.dtype == np.float64 else v_hat.astype(np.float64)
-    span = Tensor(np.broadcast_to(log_beta - log_tilde, x0.shape).copy())
-    base = Tensor(np.broadcast_to(log_tilde, x0.shape).copy())
-    log_var_p = T.add(T.mul(v, span), base)
+    log_var_p = T.add(T.mul(v, log_beta - log_tilde), log_tilde)
 
     kl = gaussian_kl(mu_q, var_q, mu_p, log_var_p)
     return T.reduce_mean(kl, axes=tuple(range(1, x0.ndim)))
@@ -246,9 +243,8 @@ def weighted_total(per_frame_losses: Tensor, weights: LossWeights) -> Tensor:
         raise ShapeError(
             f"per-frame losses {per_frame_losses.shape} vs weights {weights.weights.shape}"
         )
-    w = Tensor(weights.weights)
     x = per_frame_losses if per_frame_losses.dtype == np.float64 else per_frame_losses.astype(np.float64)
-    return T.reduce_sum(T.mul(x, w))
+    return T.reduce_sum(T.mul(x, weights.weights))
 
 
 def total_loss(batch: MemoryMaskedBatch, pred: DenoisePrediction,

@@ -176,8 +176,8 @@ def _node(out: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
 
     Two ops keep a backward of their own, because one intermediate gradient
     feeds several parents and is built once: in `mlp`, fc1's output gradient
-    `gh` feeds `x`, `w1` and `b1` (each layer's parents go to `_backprop`);
-    in `attention`, the score gradient `ds` feeds `q` and `k`.
+    `gh` feeds `x`, `w1` and `b1`; in `attention`, the score gradient `ds`
+    feeds `q` and `k`. Both accumulate through `_backprop`.
     """
     return Tensor._from_op(out, parents, lambda g: _backprop(parents, grads, g))
 
@@ -661,9 +661,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
                 head_grad(ds, kh[blk], _split_heads(gq, heads)[blk])
             if gk is not None:
                 head_grad(ds.swapaxes(-1, -2), qh[blk], _split_heads(gk, heads)[blk])
-        for t, gt in ((v, gv), (q, gq), (k, gk)):
-            if gt is not None:
-                _accum(t, gt)
+        _backprop((v, q, k), (lambda _: gv, lambda _: gq, lambda _: gk), g)
 
     return Tensor._from_op(out, (q, k, v), bw)
 

@@ -401,8 +401,16 @@ class ClipDataset:
         return len(self.paths)
 
     def record(self, i: int) -> ClipRecord:
+        """Clip i, whose frames, channels, size and fps must be the manifest's."""
         if i not in self._records:
-            self._records[i] = read_clip(self.paths[i])
+            rec, m = read_clip(self.paths[i]), self.manifest
+            bad = [f"{what} {got}, manifest {want}" for what, got, want in zip(
+                ("frames", "channels", "height", "width", "fps"), rec.frames.shape + (rec.fps,),
+                (m["frames"], CHANNELS, m["height"], m["width"], m["fps"])) if got != want]
+            if bad:
+                raise DataError(f"clip {self.paths[i]} does not match the dataset: "
+                                + "; ".join(bad))
+            self._records[i] = rec
         return self._records[i]
 
     def scene(self, i: int) -> SceneSpec:

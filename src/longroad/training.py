@@ -161,6 +161,8 @@ def run_curriculum(model, dataset, cfg: TrainConfig, out_dir,
     phases = curriculum_schedule(list(cfg.phase_frames), list(cfg.phase_steps),
                                  cfg.token_budget)
     check_clip_frames(dataset, phases[-1].frames)  # the last phase's window is the longest
+    for i in range(len(dataset)):  # each clip against the manifest, before any output
+        dataset.record(i)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     schedule = build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)

@@ -179,7 +179,7 @@ class TestTemporalStep:
 
         monkeypatch.setattr(B.MultiHeadAttention, "__call__", record)
         small = dict(depth=1, hidden=8, heads=2, patch=2, channels=1, t_max=20,
-                     text_vocab=8, max_original_index=256)
+                     text_vocab=25, max_original_index=256)  # load_config's least vocab
         ht = Tensor(np.random.default_rng(9).normal(size=(4, 3, 8)).astype(np.float32))
         logits = []
         for base in (10000.0, 50.0):

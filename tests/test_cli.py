@@ -129,6 +129,26 @@ class TestTrain:
         assert f"dataset {data}: clips have 8 frames, phase needs 16" in err
         assert not list(out.glob("*.idck")) and not (out / "train_log.jsonl").exists()
 
+    @pytest.mark.parametrize("shape, problem", [
+        (dict(frames=4), "frames 4, manifest 16"),
+        (dict(height=8, width=12), "height 8, manifest 16; width 12, manifest 24"),
+    ])
+    def test_clip_unlike_its_manifest_exit_two_before_step_one(self, tmp_path, capsys, shape,
+                                                               problem):
+        # a clip copied in from another dataset: unchecked, too few frames
+        # fail mid-run in an IndexError and a smaller frame trains silently
+        data = datagen(tmp_path)
+        other = datagen(tmp_path, "other", **shape)
+        clip = sorted(data.glob("*.toyr"))[1]
+        clip.write_bytes(sorted(other.glob("*.toyr"))[1].read_bytes())
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(write_config(tmp_path)), "--data", str(data),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"clip {clip} does not match the dataset: {problem}" in err
+        assert not list(out.glob("*.idck")) and not (out / "train_log.jsonl").exists()
+
     def test_unknown_config_key_exit_one(self, tmp_path):
         data = datagen(tmp_path)
         bad = dict(TINY_CONFIG)
@@ -599,6 +619,7 @@ EARLY_CONFIG_ERRORS = [
     {"train": {"memory_span_d": 8}, "rollout": {"l_window": 16}},  # no future frame
     {"train": {"lam": -1.0}},  # a negative retention decay rate
     {"train": {"grad_clip": -1.0}},  # 0 turns clipping off; below it is no value
+    {"model": {"text_vocab": 8}},  # captions hold digit tokens, ids 15-24
 ]
 
 
@@ -636,6 +657,7 @@ EARLY_CONFIG_ERRORS = [
     ({"train": {"cond_dropout": 1.0}}, []),
     ({"model": {"hidden": 6, "heads": 3}}, []),  # 2-D position embeddings need 4 | hidden
     ({"model": {"rope_base": 0.0}}, []),
+    ({"train": {"phase_steps": [2, 2]}}, []),  # one step budget more than phases
     *[(section, []) for section in EARLY_CONFIG_ERRORS],
 ])
 def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):

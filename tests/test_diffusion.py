@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from longroad import backbone as B
@@ -205,6 +207,31 @@ class TestPosterior:
             D.posterior_params(np.zeros(2), np.zeros(2), 0, s)
 
 
+def hand_gaussian_kl(mu_q, var_q, mu_p, log_var_p):
+    """`gaussian_kl` as the chain of generic ops it once was: eight tape
+    nodes, with the q-variance, its log and `num` copied to full size."""
+    mu_q = np.asarray(mu_q, dtype=np.float64)
+    mu_p = np.asarray(mu_p, dtype=np.float64)
+    var_q = np.broadcast_to(np.asarray(var_q, dtype=np.float64), mu_q.shape)
+    log_var_q = Tensor(np.log(var_q).copy())
+    num = Tensor(var_q + (mu_q - mu_p) ** 2)
+    half_logs = T.mul(T.sub(log_var_p, log_var_q), 0.5)
+    ratio = T.mul(T.mul(num, T.exp(T.neg(log_var_p))), 0.5)
+    return T.sub(T.add(half_logs, ratio), 0.5)
+
+
+def assert_bit_equal(got, want):
+    """Bit-equal, except that any NaN matches any NaN: the chain adds the
+    log_var_p gradient's two terms as `a + (-y)` and the node takes `a - y`,
+    which can give NaNs of opposite sign."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    bits = np.dtype(f"u{want.itemsize}")
+    bad = np.flatnonzero((got.view(bits) != want.view(bits)) & ~nan)
+    assert bad.size == 0, (got.ravel()[bad[:5]], want.ravel()[bad[:5]])
+
+
 class TestGaussianKL:
     def test_identical(self):
         mu = np.random.default_rng(0).normal(size=(3,))
@@ -220,6 +247,39 @@ class TestGaussianKL:
         kl = D.gaussian_kl(np.zeros(1), 1.0, np.zeros(1), Tensor(np.array([math.log(4.0)])))
         assert kl.data[0] == pytest.approx(math.log(2) + 1 / 8 - 1 / 2, abs=1e-12)
         assert kl.data[0] == pytest.approx(0.3181, abs=1e-4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           var_form=st.sampled_from(["scalar", "per_frame", "full"]),
+           dims=st.tuples(*[st.integers(1, 4)] * 4), seed=st.integers(0, 2**32 - 1),
+           specials=st.booleans(), shared=st.booleans())
+    def test_bit_equal_to_generic_op_chain(self, dtype, var_form, dims, seed, specials,
+                                           shared):
+        rng = np.random.default_rng(seed)
+        mu_q, mu_p = rng.normal(size=(2,) + dims)
+        lvp = (rng.normal(size=dims) * 2).astype(dtype)
+        var_q = {"scalar": lambda: float(np.exp(rng.normal())),
+                 "per_frame": lambda: np.exp(rng.normal(size=(dims[0], 1, 1, 1))),
+                 "full": lambda: np.exp(rng.normal(size=dims))}[var_form]()
+        if specials:
+            for arr in (lvp, mu_q, mu_p):
+                at = rng.integers(0, arr.size, size=3)
+                arr.ravel()[at] = [np.inf, -np.inf, np.nan]
+        w, w2 = rng.normal(size=(2,) + dims)
+        results = []
+        for kl_fn in (D.gaussian_kl, hand_gaussian_kl):
+            leaf = Tensor(lvp, requires_grad=True)
+            with np.errstate(invalid="ignore", over="ignore"):
+                kl = kl_fn(mu_q, var_q, mu_p, leaf)
+                loss = T.reduce_sum(T.mul(kl, w))
+                if shared:  # the second reader's term is added after the KL's, in both tapes
+                    loss = T.add(loss, T.reduce_sum(T.mul(leaf, w2)))
+                loss.backward()
+            results.append((kl.data, leaf.grad))
+        (kl, grad), (want_kl, want_grad) = results
+        assert kl.dtype == np.float64
+        assert_bit_equal(kl, want_kl)
+        assert_bit_equal(grad, want_grad)
 
 
 class TestVbLoss:

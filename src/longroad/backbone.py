@@ -196,13 +196,18 @@ class TimestepEmbedder(Mlp):
         return super().__call__(Tensor((base + extra[None, :]).astype(self.dtype)))
 
 
+def _modulation(out: Tensor, n: int) -> list[Tensor]:
+    """A modulation linear's (L, n*H) output as its n (L, 1, H) slices."""
+    mods = T.reshape(out, (out.shape[0], n, -1))   # (L, n, H)
+    return [mods[:, i:i + 1] for i in range(n)]
+
+
 class SpaceTimeBlock(Module):
     """One denoiser block: spatial attention, temporal attention,
     cross-attention, MLP; all residual, all gated, gates zero at init."""
 
     def __init__(self, rng, cfg: ModelConfig, dtype):
         h = cfg.hidden
-        self.hidden = h
         self.mod = Linear(rng, h, 12 * h, dtype, zero_init=True)
         self.spatial_attn = MultiHeadAttention(rng, h, cfg.heads, dtype)
         self.temporal_attn = MultiHeadAttention(rng, h, cfg.heads, dtype)
@@ -210,30 +215,27 @@ class SpaceTimeBlock(Module):
         self.mlp = Mlp(rng, h, cfg.mlp_ratio, dtype)
 
     def _chunks(self, c_mod: Tensor) -> list[Tensor]:
-        mods = T.reshape(self.mod(c_mod), (-1, 12, self.hidden))  # (L, 12, H)
-        return [mods[:, i:i + 1] for i in range(12)]               # each (L, 1, H)
+        return _modulation(self.mod(c_mod), 12)
+
+    def _sublayer(self, x: Tensor, mods: list[Tensor], i: int, fn) -> Tensor:
+        """Sublayer i's adaLN-Zero wrap: x + gate * fn(LN(x) * (1 + scale) + shift)."""
+        shift, scale, gate = mods[3 * i:3 * i + 3]
+        return T.gated_residual(x, gate, fn(T.modulated_norm(x, shift, scale)))
 
     def spatial_step(self, x: Tensor, mods: list[Tensor]) -> Tensor:
-        shift, scale, gate = mods[0], mods[1], mods[2]
-        h = T.modulated_norm(x, shift, scale)
-        return T.gated_residual(x, gate, self.spatial_attn(h, h))
+        return self._sublayer(x, mods, 0, lambda h: self.spatial_attn(h, h))
 
     def temporal_step(self, x: Tensor, mods: list[Tensor], rope) -> Tensor:
-        shift, scale, gate = mods[3], mods[4], mods[5]
-        h = T.modulated_norm(x, shift, scale)
-        ht = T.transpose(h, (1, 0, 2))               # (S, L, hidden)
-        out = T.transpose(self.temporal_attn(ht, ht, rope), (1, 0, 2))
-        return T.gated_residual(x, gate, out)
+        def attend(h):
+            ht = T.transpose(h, (1, 0, 2))               # (S, L, hidden)
+            return T.transpose(self.temporal_attn(ht, ht, rope), (1, 0, 2))
+        return self._sublayer(x, mods, 1, attend)
 
     def cross_step(self, x: Tensor, mods: list[Tensor], cond_kv: Tensor) -> Tensor:
-        shift, scale, gate = mods[6], mods[7], mods[8]
-        h = T.modulated_norm(x, shift, scale)
-        return T.gated_residual(x, gate, self.cross_attn(h, cond_kv))
+        return self._sublayer(x, mods, 2, lambda h: self.cross_attn(h, cond_kv))
 
     def mlp_step(self, x: Tensor, mods: list[Tensor]) -> Tensor:
-        shift, scale, gate = mods[9], mods[10], mods[11]
-        h = T.modulated_norm(x, shift, scale)
-        return T.gated_residual(x, gate, self.mlp(h))
+        return self._sublayer(x, mods, 3, self.mlp)
 
     def __call__(self, x: Tensor, c_mod: Tensor, cond_kv: Tensor, rope) -> Tensor:
         mods = self._chunks(c_mod)
@@ -271,8 +273,7 @@ class VideoDenoiser(Module):
         command embedding; the learned null row when the condition is absent
         or dropped."""
         if cond is None or cond.null_flag:
-            null = self.null_embed(np.zeros(1, dtype=np.int64))     # (1, hidden)
-            null = T.reshape(null, (1, 1, self.cfg.hidden))
+            null = self.null_embed(np.zeros((1, 1), dtype=np.int64))  # (1, 1, hidden)
             return T.concat([null] * l, axis=0)
         if cond.text_tokens.size and cond.text_tokens.max() >= self.cfg.text_vocab:
             raise ContractError(
@@ -282,13 +283,9 @@ class VideoDenoiser(Module):
             raise ContractError(
                 f"need one command per frame: got {cond.command_ids.shape}, L={l}"
             )
-        text = self.text_embed(cond.text_tokens)                    # (N, hidden)
-        n = text.shape[0]
-        text_all = T.reshape(text, (1, n, self.cfg.hidden))
-        text_all = T.concat([text_all] * l, axis=0)
-        cmd = self.command_embed(cond.command_ids)                  # (L, hidden)
-        cmd = T.reshape(cmd, (l, 1, self.cfg.hidden))
-        return T.concat([text_all, cmd], axis=1)                    # (L, N+1, hidden)
+        text = self.text_embed(cond.text_tokens[None])              # (1, N, hidden)
+        cmd = self.command_embed(cond.command_ids[:, None])         # (L, 1, hidden)
+        return T.concat([T.concat([text] * l, axis=0), cmd], axis=1)  # (L, N+1, hidden)
 
     def _positions(self, gh: int, gw: int) -> np.ndarray:
         key = (gh, gw)
@@ -300,7 +297,7 @@ class VideoDenoiser(Module):
 
     def forward(self, xt, t: np.ndarray, cond: ConditionSet | None,
                 plan: RopePlan) -> DenoisePrediction:
-        x_in = xt if isinstance(xt, Tensor) else Tensor(np.asarray(xt, dtype=self.dtype))
+        x_in = Tensor(np.asarray(xt, dtype=self.dtype))
         l, c, h, w = x_in.shape
         cfg = self.cfg
         if c != cfg.channels:
@@ -326,10 +323,7 @@ class VideoDenoiser(Module):
         for block in self.blocks:
             x = block(x, c_mod, cond_kv, rope)
 
-        fm = self.final_mod(c_mod)                                   # (L, 2H)
-        shift = T.reshape(fm[:, :cfg.hidden], (l, 1, cfg.hidden))
-        scale = T.reshape(fm[:, cfg.hidden:], (l, 1, cfg.hidden))
-        x = T.modulated_norm(x, shift, scale)
+        x = T.modulated_norm(x, *_modulation(self.final_mod(c_mod), 2))
         out = self.head(x)                                           # (L, S, 2*p*p*C)
         full = unpatchify(out, cfg.patch, 2 * cfg.channels, h, w)    # (L, 2C, H, W)
         eps_hat = full[:, :cfg.channels]

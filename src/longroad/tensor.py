@@ -54,8 +54,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)  # float32 and float64 stay, anything else becomes float32
-        self.data = np.ascontiguousarray(
-            arr, arr.dtype if arr.dtype in _ALLOWED_DTYPES else np.float32)
+        self.data = np.asarray(  # C order, and a 0-d array stays 0-d
+            arr, arr.dtype if arr.dtype in _ALLOWED_DTYPES else np.float32, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()

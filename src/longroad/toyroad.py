@@ -305,7 +305,8 @@ def read_clip(path) -> ClipRecord:
         version, h, w, l, c, fps = r.unpack("<HHHHBB", "clip header")
         if version != VERSION:
             raise r.error(f"unsupported clip version {version}", 4)
-        for size, name, at in ((h, "rows", 6), (w, "columns", 8), (c, "channels", 12)):
+        for size, name, at in ((h, "rows", 6), (w, "columns", 8), (l, "frames", 10),
+                               (c, "channels", 12)):
             if size == 0:
                 raise r.error(f"clip has 0 {name}", at)
         (cap_len,) = r.unpack("<I", "caption length")

@@ -4,6 +4,7 @@ import pytest
 from longroad import backbone as B
 from longroad import config as C
 from longroad import tensor as T
+from longroad import toyroad as R
 from longroad.errors import ConfigError, ContractError
 from longroad.tensor import Tensor
 
@@ -372,3 +373,120 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             model.forward(np.zeros((1, 1, 4, 4), dtype=np.float32),
                           np.array([999]), None, plan_for([0]))
+
+
+# Oracle for `SpaceTimeBlock._sublayer`, `backbone._modulation` and the
+# in-shape embedding gathers: each sublayer, modulation split and condition
+# lookup written out in full, with a reshape after every gather. The shared
+# forms must match it bit for bit, with fewer tape nodes.
+
+
+def oracle_chunks(self, c_mod):
+    mods = T.reshape(self.mod(c_mod), (-1, 12, c_mod.shape[1]))
+    return [mods[:, i:i + 1] for i in range(12)]
+
+
+def oracle_spatial_step(self, x, mods):
+    shift, scale, gate = mods[0], mods[1], mods[2]
+    h = T.modulated_norm(x, shift, scale)
+    return T.gated_residual(x, gate, self.spatial_attn(h, h))
+
+
+def oracle_temporal_step(self, x, mods, rope):
+    shift, scale, gate = mods[3], mods[4], mods[5]
+    h = T.modulated_norm(x, shift, scale)
+    ht = T.transpose(h, (1, 0, 2))
+    out = T.transpose(self.temporal_attn(ht, ht, rope), (1, 0, 2))
+    return T.gated_residual(x, gate, out)
+
+
+def oracle_cross_step(self, x, mods, cond_kv):
+    shift, scale, gate = mods[6], mods[7], mods[8]
+    h = T.modulated_norm(x, shift, scale)
+    return T.gated_residual(x, gate, self.cross_attn(h, cond_kv))
+
+
+def oracle_mlp_step(self, x, mods):
+    shift, scale, gate = mods[9], mods[10], mods[11]
+    h = T.modulated_norm(x, shift, scale)
+    return T.gated_residual(x, gate, self.mlp(h))
+
+
+def oracle_final_modulation(fm, n):
+    """The final layer's shift and scale: two slices, two reshapes."""
+    assert n == 2
+    l, hidden = fm.shape[0], fm.shape[1] // 2
+    return (T.reshape(fm[:, :hidden], (l, 1, hidden)),
+            T.reshape(fm[:, hidden:], (l, 1, hidden)))
+
+
+def oracle_condition_kv(self, cond, l):
+    hidden = self.cfg.hidden
+    if cond is None or cond.null_flag:
+        null = T.reshape(self.null_embed(np.zeros(1, dtype=np.int64)), (1, 1, hidden))
+        return T.concat([null] * l, axis=0)
+    text = self.text_embed(cond.text_tokens)
+    text_all = T.concat([T.reshape(text, (1, text.shape[0], hidden))] * l, axis=0)
+    cmd = T.reshape(self.command_embed(cond.command_ids), (l, 1, hidden))
+    return T.concat([text_all, cmd], axis=1)
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSharedSublayer:
+    CAPTION = "ego straight then left then right."  # `then` twice: a repeated gather row
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind, fewer, idle", [
+        ("caption", 3, ["null_embed.table"]),
+        ("null", 2, ["command_embed.table", "text_embed.table"]),
+        ("none", 2, ["command_embed.table", "text_embed.table"]),
+    ])
+    def test_bits_and_nodes_match_written_out_oracle(self, monkeypatch, dtype, kind, fewer,
+                                                     idle):
+        cfg = tiny_config(channels=3, text_vocab=len(R.VOCAB))
+        model = randomize(B.VideoDenoiser(cfg, np.random.default_rng(0), dtype=dtype),
+                          seed=20, scale=0.3)
+        rng = np.random.default_rng(21)
+        xt = rng.normal(size=(3, 3, 4, 6)).astype(dtype)
+        eps = Tensor(rng.normal(size=xt.shape).astype(dtype))
+        tokens = R.encode_caption(self.CAPTION)
+        cond = {"caption": make_cond(3, tokens=tokens, cmds=[0, 1, 2]),
+                "null": make_cond(3, tokens=tokens).nulled(), "none": None}[kind]
+
+        def run():
+            model.zero_grad()
+            pred = model.forward(xt, np.array([0, 4, 9]), cond, plan_for([0, 2, 5]))
+            loss = T.reduce_sum(T.mul(T.add(pred.eps_hat, pred.v_hat), eps))
+            seen, todo, nodes = {id(loss)}, [loss], 0
+            while todo:  # the op nodes on the tape, as TestTapeSize counts them
+                node = todo.pop()
+                nodes += node._backward is not None
+                for p in node._parents:
+                    if p.requires_grad and id(p) not in seen:
+                        seen.add(id(p))
+                        todo.append(p)
+            loss.backward()
+            return ([pred.eps_hat.data, pred.v_hat.data],
+                    {k: p.grad for k, p in model.named_parameters().items()}, nodes)
+
+        out, grads, nodes = run()
+        for name, oracle in [("_chunks", oracle_chunks), ("spatial_step", oracle_spatial_step),
+                             ("temporal_step", oracle_temporal_step),
+                             ("cross_step", oracle_cross_step), ("mlp_step", oracle_mlp_step)]:
+            monkeypatch.setattr(B.SpaceTimeBlock, name, oracle)
+        monkeypatch.setattr(B.VideoDenoiser, "_condition_kv", oracle_condition_kv)
+        monkeypatch.setattr(B, "_modulation", oracle_final_modulation)
+        want_out, want_grads, want_nodes = run()
+
+        for got, want in zip(out, want_out):
+            assert_bit_equal(got, want)
+        assert sorted(k for k, g in want_grads.items() if g is None) == idle
+        for k, want in want_grads.items():
+            assert (grads[k] is None) == (want is None), k
+            if want is not None:
+                assert_bit_equal(grads[k], want)
+        assert want_nodes - nodes == fewer

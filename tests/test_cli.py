@@ -1,8 +1,13 @@
 import json
+import runpy
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from longroad import metrics as M
 from longroad import rollout as RO
@@ -470,6 +475,7 @@ class TestEval:
     @pytest.mark.parametrize("at, size, metrics", [
         (12, 1, []),  # 0 channels: the feature net's init divided by zero
         (6, 2, ["--metrics", "background_consistency"]),  # 0 rows: no conv window fits
+        (10, 2, ["--metrics", "fid_proxy"]),  # 0 frames: an empty feature matrix
     ])
     def test_empty_frame_header_exit_two(self, tmp_path, capsys, at, size, metrics):
         data = datagen(tmp_path)
@@ -579,17 +585,20 @@ class TestEval:
             assert main(["eval", "--gen", str(data), "--ref", str(data), "--config", str(cfg),
                          "--window", window, "--out", str(out)]) == 1
 
-    @pytest.mark.parametrize("shape, code, message", [
-        ((1, 3, 16, 24), 2, "data error: clip {}: need at least 2 frames, got 1"),
-        ((16, 3, 4, 4), 1, "configuration error: clip {}: frame (4x4) smaller than "
+    @pytest.mark.parametrize("shape, metrics, code, message", [
+        ((1, 3, 16, 24), [], 2, "data error: clip {}: need at least 2 frames, got 1"),
+        ((1, 3, 16, 24), ["--metrics", "background_consistency"], 2,
+         "data error: clip {}: need at least 2 frames\n"),  # the metric's own check
+        ((16, 3, 4, 4), [], 1, "configuration error: clip {}: frame (4x4) smaller than "
          "flow block (8)"),
-    ], ids=["one_frame", "below_flow_block"])
-    def test_scoring_error_names_generated_clip(self, tmp_path, capsys, shape, code, message):
+    ], ids=["one_frame", "one_frame_consistency", "below_flow_block"])
+    def test_scoring_error_names_generated_clip(self, tmp_path, capsys, shape, metrics, code,
+                                                message):
         (tmp_path / "gen").mkdir()
         clip = write_noise_clip(tmp_path / "gen" / "bad.toyr", shape)
         out = tmp_path / "r.json"
         rc = main(["eval", "--gen", str(tmp_path / "gen"), "--ref", str(datagen(tmp_path)),
-                   "--config", str(write_config(tmp_path)), "--out", str(out)])
+                   "--config", str(write_config(tmp_path)), *metrics, "--out", str(out)])
         assert rc == code
         assert message.format(clip) in capsys.readouterr().err
         assert not out.exists()
@@ -658,6 +667,7 @@ EARLY_CONFIG_ERRORS = [
     ({"model": {"hidden": 6, "heads": 3}}, []),  # 2-D position embeddings need 4 | hidden
     ({"model": {"rope_base": 0.0}}, []),
     ({"train": {"phase_steps": [2, 2]}}, []),  # one step budget more than phases
+    ({"eval": {"c": 0.0}}, []),  # the MAWE coefficient must be positive
     *[(section, []) for section in EARLY_CONFIG_ERRORS],
 ])
 def test_bad_config_value_exit_one(tmp_path, capsys, section, argv):
@@ -786,3 +796,68 @@ def test_unparsable_config_exit_one(tmp_path, capsys, content):
                "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_module_entry_point_exits_with_main_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["longroad", "bogus"])
+    with warnings.catch_warnings():  # longroad.cli is already imported by this module
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("longroad.cli", run_name="__main__")
+    assert exit_info.value.code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+# Every argv ends in an exit code 0-3. No value names a valid dataset or
+# checkpoint, so `train` stops before its first step and `rollout` before its
+# first forward; `datagen` starts from tiny sizes and writes one fixed
+# directory. `-h` (argparse's SystemExit(0)) is left out.
+FUZZ_FLAGS = {  # each command's required flags first
+    "datagen": ([], ["--clips", "--frames", "--height", "--width", "--fps", "--seed"]),
+    "train": (["--data", "--out"], ["--config"]),
+    "rollout": (["--ckpt", "--cond", "--iters", "--out"],
+                ["--config", "--caption", "--direction", "--seed"]),
+    "eval": (["--gen", "--ref", "--out"], ["--config", "--metrics", "--window", "--csv"]),
+    "bogus": ([], ["--out"]),
+}
+BIG = "12345678901234567890"
+FUZZ_VALUES = ["0", "1", "-1", BIG, "nan", "", "missing", "empty", "bad.json", "cut.toyr",
+               "\udcff"]  # a lone surrogate, as an undecodable argv byte arrives
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(list(FUZZ_FLAGS)))
+    required, optional = FUZZ_FLAGS[command]
+    value = st.sampled_from(FUZZ_VALUES)
+    pair = st.tuples(st.sampled_from(required + optional + ["--bogus"]), value)
+    argv = [command]
+    if command == "datagen":  # a 20-digit clip count is valid and would never end
+        argv += ["--out", "gen", "--clips", "1", "--frames", "2", "--height", "4",
+                 "--width", "4"]
+        pair = pair.filter(lambda fv: fv != ("--clips", BIG))
+    for name in required:  # left out now and then: a usage error
+        if draw(st.integers(0, 9)):
+            argv += [name, draw(value)]
+    for extra in draw(st.lists(st.one_of(pair, st.tuples(value)), max_size=4)):
+        argv += extra
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """The files FUZZ_VALUES name; `missing` is never made."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "empty").mkdir()
+    (root / "bad.json").write_text('{"model": ')
+    clip = write_noise_clip(root / "cut.toyr", (2, 3, 4, 4))
+    clip.write_bytes(clip.read_bytes()[:30])
+    return root
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_ends_in_exit_code(fuzz_root, monkeypatch, argv):
+    monkeypatch.chdir(fuzz_root)  # relative values, "" among them, stay in fuzz_root
+    assert main(argv) in (0, 1, 2, 3)

@@ -399,6 +399,27 @@ class TestDeterminism:
         assert T.softmax(x, axis=0).dtype == np.float32
 
 
+class TestZeroDim:
+    def test_scalar_tensor_stays_0d(self):
+        assert Tensor(np.float64(2.0)).shape == ()
+
+    def test_scalar_operand_keeps_0d(self):
+        assert T.mul(Tensor(np.float64(2.0)), 0.5).shape == ()
+
+    def test_sum_plus_constant_stays_0d(self):
+        x = t64(np.arange(6.0).reshape(2, 3))
+        y = T.add(T.reduce_sum(x), 1.0)
+        assert y.shape == ()
+        y.backward()
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+    def test_strided_input_copied_to_c_order(self):
+        x = np.arange(12.0).reshape(3, 4)[:, ::2]
+        t = Tensor(x)
+        assert t.data.flags.c_contiguous and not np.shares_memory(t.data, x)
+        np.testing.assert_array_equal(t.data, x)
+
+
 # -- node-built layers ----------------------------------------------------------
 # `linear`, `layer_norm` and `modulated_norm` once had backwards of their own,
 # kept here as oracles. Built by `_node`, the ops must give the same bytes:

@@ -129,9 +129,9 @@ class TestTapeSize:
     def test_desk_model_tape_nodes_do_not_grow(self, dataset):
         # Ratchet on the op nodes one w8, alpha = 1 captioned example puts on
         # the tape, walked from total_loss as perfbench's tape counter walks
-        # it (the 132 parameter leaves it reaches are not counted). The 196
+        # it (the 132 parameter leaves it reaches are not counted). The 193
         # split by op: linear 55, slice 54, modulated_norm 17,
-        # gated_residual 16, attention 12, reshape 10, transpose 9, mlp 5,
+        # gated_residual 16, attention 12, transpose 9, reshape 7, mlp 5,
         # mul 3, add 3, reduce_mean 2, astype 2, concat 2, gather 2,
         # reduce_sum 1, gaussian_kl 1, sigmoid 1, sub 1. Lower the bound
         # when a change removes nodes.
@@ -151,7 +151,7 @@ class TestTapeSize:
                     seen.add(id(p))
                     todo.append(p)
         assert ex.draw.alpha == 1 and len(ex.cond.text_tokens) > 0
-        assert ops <= 196, ops
+        assert ops <= 193, ops
 
     @pytest.mark.parametrize("alpha, frames, memory", [(1, 32, 4), (2, 8, 1)])
     def test_loss_tape_bytes_of_one_w32_example(self, alpha, frames, memory):

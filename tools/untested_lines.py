@@ -5,7 +5,8 @@ tracer (stdlib only: no coverage package is needed) and prints each statement
 of `src/longroad` whose line never ran, as `path:line: source`, then a count.
 A statement is an `ast` statement whose first line holds bytecode, so
 docstrings, `pass` and other lines that compile to nothing are not listed.
-A line that only some `hypothesis` draws reach can come and go between runs.
+The fast tier runs with `--hypothesis-seed=0`, so the `hypothesis` draws,
+and with them the count, repeat from run to run.
 
     python3 tools/untested_lines.py [extra pytest args]
 
@@ -60,7 +61,8 @@ def traced_pytest(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     os.chdir(ROOT)
     sys.settrace(call)
     try:
-        status = pytest.main(["-q", "-m", "not slow", "-p", "no:cacheprovider", *args])
+        status = pytest.main(["-q", "-m", "not slow", "-p", "no:cacheprovider",
+                              "--hypothesis-seed=0", *args])
     finally:
         sys.settrace(None)
     return int(status), hits

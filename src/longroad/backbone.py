@@ -196,12 +196,6 @@ class TimestepEmbedder(Mlp):
         return super().__call__(Tensor((base + extra[None, :]).astype(self.dtype)))
 
 
-def _modulation(out: Tensor, n: int) -> list[Tensor]:
-    """A modulation linear's (L, n*H) output as its n (L, 1, H) slices."""
-    mods = T.reshape(out, (out.shape[0], n, -1))   # (L, n, H)
-    return [mods[:, i:i + 1] for i in range(n)]
-
-
 class SpaceTimeBlock(Module):
     """One denoiser block: spatial attention, temporal attention,
     cross-attention, MLP; all residual, all gated, gates zero at init."""
@@ -214,31 +208,28 @@ class SpaceTimeBlock(Module):
         self.cross_attn = MultiHeadAttention(rng, h, cfg.heads, dtype)
         self.mlp = Mlp(rng, h, cfg.mlp_ratio, dtype)
 
-    def _chunks(self, c_mod: Tensor) -> list[Tensor]:
-        return _modulation(self.mod(c_mod), 12)
+    def _sublayer(self, x: Tensor, mods: Tensor, i: int, fn) -> Tensor:
+        """Sublayer i's adaLN-Zero wrap, x + gate * fn(LN(x) * (1 + scale) + shift),
+        with shift, scale and gate blocks 3i, 3i + 1 and 3i + 2 of `mods`."""
+        return T.gated_residual(x, mods, 3 * i + 2, fn(T.modulated_norm(x, mods, 3 * i)))
 
-    def _sublayer(self, x: Tensor, mods: list[Tensor], i: int, fn) -> Tensor:
-        """Sublayer i's adaLN-Zero wrap: x + gate * fn(LN(x) * (1 + scale) + shift)."""
-        shift, scale, gate = mods[3 * i:3 * i + 3]
-        return T.gated_residual(x, gate, fn(T.modulated_norm(x, shift, scale)))
-
-    def spatial_step(self, x: Tensor, mods: list[Tensor]) -> Tensor:
+    def spatial_step(self, x: Tensor, mods: Tensor) -> Tensor:
         return self._sublayer(x, mods, 0, lambda h: self.spatial_attn(h, h))
 
-    def temporal_step(self, x: Tensor, mods: list[Tensor], rope) -> Tensor:
+    def temporal_step(self, x: Tensor, mods: Tensor, rope) -> Tensor:
         def attend(h):
             ht = T.transpose(h, (1, 0, 2))               # (S, L, hidden)
             return T.transpose(self.temporal_attn(ht, ht, rope), (1, 0, 2))
         return self._sublayer(x, mods, 1, attend)
 
-    def cross_step(self, x: Tensor, mods: list[Tensor], cond_kv: Tensor) -> Tensor:
+    def cross_step(self, x: Tensor, mods: Tensor, cond_kv: Tensor) -> Tensor:
         return self._sublayer(x, mods, 2, lambda h: self.cross_attn(h, cond_kv))
 
-    def mlp_step(self, x: Tensor, mods: list[Tensor]) -> Tensor:
+    def mlp_step(self, x: Tensor, mods: Tensor) -> Tensor:
         return self._sublayer(x, mods, 3, self.mlp)
 
     def __call__(self, x: Tensor, c_mod: Tensor, cond_kv: Tensor, rope) -> Tensor:
-        mods = self._chunks(c_mod)
+        mods = self.mod(c_mod)                           # (L, 12 * hidden)
         x = self.spatial_step(x, mods)
         x = self.temporal_step(x, mods, rope)
         x = self.cross_step(x, mods, cond_kv)
@@ -323,7 +314,7 @@ class VideoDenoiser(Module):
         for block in self.blocks:
             x = block(x, c_mod, cond_kv, rope)
 
-        x = T.modulated_norm(x, *_modulation(self.final_mod(c_mod), 2))
+        x = T.modulated_norm(x, self.final_mod(c_mod), 0)
         out = self.head(x)                                           # (L, S, 2*p*p*C)
         full = unpatchify(out, cfg.patch, 2 * cfg.channels, h, w)    # (L, 2C, H, W)
         eps_hat = full[:, :cfg.channels]

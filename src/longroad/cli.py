@@ -97,7 +97,10 @@ def cmd_datagen(args) -> int:
 
 def _build_model(cfg: dict) -> VideoDenoiser:
     mc = cfgmod.model_config(cfg)
-    return VideoDenoiser(mc, rng_for(cfg["train"]["seed"], "init"))
+    try:
+        return VideoDenoiser(mc, rng_for(cfg["train"]["seed"], "init"))
+    except (ValueError, MemoryError) as e:  # numpy cannot allocate a parameter
+        raise ConfigError(f"model section cannot be built: {str(e) or type(e).__name__}") from e
 
 
 def cmd_train(args) -> int:

@@ -16,10 +16,23 @@ import numpy as np
 from .errors import DataError, FormatError
 
 
+def _check_os_path(path, what: str) -> None:
+    """Raise a DataError `{what} '{path}': ...` for a path the OS cannot take:
+    one holding NUL, or a str it cannot encode (a lone surrogate outside
+    U+DC80-U+DCFF, which no undecodable argv byte gives)."""
+    try:
+        reason = "embedded null byte" if b"\0" in os.fsencode(path) else None
+    except UnicodeEncodeError as e:
+        reason = e.reason
+    if reason:
+        raise DataError(f"{what} {os.fspath(path)!r}: {reason}")
+
+
 @contextmanager
 def input_errors(path, kind: str):
-    """Raise an OSError from reading input `path` (missing, a directory, not
-    readable) as a DataError naming it and its `kind`."""
+    """Raise a path the OS cannot take, or an OSError from reading input `path`
+    (missing, a directory, not readable), as a DataError naming it and `kind`."""
+    _check_os_path(path, f"cannot read {kind}")
     try:
         yield
     except OSError as e:
@@ -65,8 +78,9 @@ def read_binary(path, kind: str):
 
 @contextmanager
 def output_errors(path):
-    """Raise an OSError from creating output `path` (a missing parent
-    directory, a file where a directory should be) as a DataError naming it."""
+    """Raise a path the OS cannot take, or an OSError from creating output `path`
+    (a missing parent directory, a file where one should be), as a DataError."""
+    _check_os_path(path, "cannot write")
     try:
         yield
     except OSError as e:

@@ -530,17 +530,35 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return Tensor._from_op(out, parents, bw)
 
 
-def gated_residual(x: Tensor, gate: Tensor, y: Tensor) -> Tensor:
-    """`x + gate * y`, a gated residual update, as one node; `gate` broadcasts
-    against `y`, whose shape is `x`'s. The backward reads only `gate` and
-    `y`, so the tape keeps no product."""
-    if y.shape != x.shape or gate.ndim > y.ndim or any(
-            g not in (1, d) for g, d in zip(gate.shape[::-1], y.shape[::-1])):
-        raise ShapeError(f"gated_residual needs x and y of one shape and a gate that "
-                         f"broadcasts to it, got {x.shape}, {gate.shape}, {y.shape}")
-    out = gate.data * y.data
+def _mod_blocks(op: str, x: Tensor, mods: Tensor, blocks, y: Tensor | None = None):
+    """Blocks `blocks` of an (L, n·H) modulation `mods` as (L, 1, H) views for
+    an (L, S, H) `x` and a `y` of its shape: block i is the columns [iH, (i+1)H)."""
+    h = x.shape[2] if x.ndim == 3 else 0
+    if (not h or mods.ndim != 2 or mods.shape[0] != x.shape[0] or min(blocks) < 0
+            or (max(blocks) + 1) * h > mods.shape[1] or (y is not None and y.shape != x.shape)):
+        got = [t.shape for t in (x, mods, y) if t is not None]
+        raise ShapeError(f"{op} needs x (L, S, H >= 1), mods (L, n*H) holding blocks "
+                         f"{blocks} and y of x's shape, got {got}")
+    return [mods.data[:, None, i * h:(i + 1) * h] for i in blocks]
+
+
+def _mod_grad(mods: Tensor, parts) -> np.ndarray:
+    """The gradient of `mods` from (block, local gradient) pairs: each block
+    holds its local gradient summed over tokens, every other column zero."""
+    full, h = np.zeros_like(mods.data), parts[0][1].shape[2]
+    for i, g in parts:
+        full[:, i * h:(i + 1) * h] = g.sum(axis=1)
+    return full
+
+
+def gated_residual(x: Tensor, mods: Tensor, i: int, y: Tensor) -> Tensor:
+    """`x + gate * y`, a gated residual update, as one node, the gate block i
+    of `mods` (`_mod_blocks`); the tape keeps the gate and `y`, no product."""
+    (gate,) = _mod_blocks("gated_residual", x, mods, (i,), y)
+    out = gate * y.data
     out += x.data
-    return _node(out, (x, gate, y), [lambda g: g, lambda g: g * y.data, lambda g: g * gate.data])
+    return _node(out, (x, mods, y),
+                 [lambda g: g, lambda g: _mod_grad(mods, [(i, g * y.data)]), lambda g: g * gate])
 
 
 # Attention runs in blocks of at most this many score elements (512 KB of
@@ -666,21 +684,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
     return Tensor._from_op(out, (q, k, v), bw)
 
 
-def modulated_norm(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
+def modulated_norm(x: Tensor, mods: Tensor, i: int) -> Tensor:
     """`layer_norm(x) · (1 + scale) + shift` over the last axis, epsilon
-    1e-6, with no learned gain or bias (adaLN modulation); `shift` and
-    `scale` broadcast against `x`."""
-    if shift.shape != scale.shape or x.ndim < 1 or x.shape[-1] == 0:
-        raise ShapeError(f"modulated_norm got x {x.shape}, shift {shift.shape}, "
-                         f"scale {scale.shape}")
+    1e-6, with no learned gain or bias (adaLN modulation); shift is block i
+    of `mods` and scale block i + 1 (`_mod_blocks`)."""
+    shift, scale = _mod_blocks("modulated_norm", x, mods, (i, i + 1))
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(1e-6, dtype=x.dtype))
     xhat *= inv
-    gain = scale.data + 1.0
+    gain = scale + 1.0
     out = xhat * gain
-    out += shift.data
+    out += shift
 
     def grad_x(g):
         d = g * gain                                    # d(xhat)
@@ -690,7 +706,7 @@ def modulated_norm(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
         d *= inv
         return d
 
-    return _node(out, (x, shift, scale), [grad_x, lambda g: g, lambda g: g * xhat])
+    return _node(out, (x, mods), [grad_x, lambda g: _mod_grad(mods, [(i, g), (i + 1, g * xhat)])])
 
 
 # -- reductions -------------------------------------------------------------------

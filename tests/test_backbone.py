@@ -7,6 +7,7 @@ from longroad import tensor as T
 from longroad import toyroad as R
 from longroad.errors import ConfigError, ContractError
 from longroad.tensor import Tensor
+from test_tensor import hand_modulated_norm, sliced_modulation, tape_ops
 
 
 def tiny_config(**kw):
@@ -95,7 +96,7 @@ class TestSpatialStep:
         block = model.blocks[0]
         x = Tensor(np.random.default_rng(1).normal(size=(3, 4, 8)).astype(np.float32))
         c = model.t_embed(np.zeros(3, dtype=np.int64), (10.0, 4.0, 4.0))
-        out = block.spatial_step(x, block._chunks(c))
+        out = block.spatial_step(x, block.mod(c))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_frame_permutation_equivariance(self):
@@ -104,7 +105,7 @@ class TestSpatialStep:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 4, 8)).astype(np.float32)
         c = model.t_embed(np.full(4, 5, dtype=np.int64), (10.0, 4.0, 4.0))
-        mods = block._chunks(c)
+        mods = block.mod(c)
         out = block.spatial_step(Tensor(x), mods).data
         perm = np.array([2, 0, 3, 1])
         out_p = block.spatial_step(Tensor(x[perm]), mods).data
@@ -117,14 +118,15 @@ class TestSpatialStep:
         block = model.blocks[0]
         x = Tensor(np.random.default_rng(5).normal(size=(2, 1, 8)).astype(np.float32))
         c = model.t_embed(np.array([3, 3]), (10.0, 2.0, 2.0))
-        mods = block._chunks(c)
+        mods = block.mod(c)
         out = block.spatial_step(x, mods).data
 
-        h = T.modulated_norm(x, mods[0], mods[1]).data
+        h = T.modulated_norm(x, mods, 0).data
         attn = model.blocks[0].spatial_attn
         v = h @ attn.wv.w.data + attn.wv.b.data
         proj = v @ attn.wo.w.data + attn.wo.b.data
-        expect = x.data + mods[2].data * proj
+        gate = mods.data[:, None, 16:24]                # block 2 of hidden 8
+        expect = x.data + gate * proj
         np.testing.assert_allclose(out, expect, atol=1e-5)
 
 
@@ -135,7 +137,7 @@ class TestTemporalStep:
         x = Tensor(np.random.default_rng(1).normal(size=(4, 2, 8)).astype(np.float32))
         c = model.t_embed(np.zeros(4, dtype=np.int64), (10.0, 4.0, 4.0))
         rope = B.rope_tables(plan_for(np.arange(4)), 4, np.float32, model.cfg.rope_base)
-        out = block.temporal_step(x, block._chunks(c), rope)
+        out = block.temporal_step(x, block.mod(c), rope)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_logits_agree_across_subsampling_rates(self):
@@ -221,7 +223,7 @@ class TestCrossStep:
         x = Tensor(np.random.default_rng(12).normal(size=(2, 4, 8)).astype(np.float32))
         c = model.t_embed(np.array([1, 1]), (10.0, 4.0, 4.0))
         kv = model._condition_kv(make_cond(2), 2)
-        out = block.cross_step(x, block._chunks(c), kv)
+        out = block.cross_step(x, block.mod(c), kv)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_command_sensitivity(self):
@@ -375,49 +377,67 @@ class TestConfigValidation:
                           np.array([999]), None, plan_for([0]))
 
 
-# Oracle for `SpaceTimeBlock._sublayer`, `backbone._modulation` and the
-# in-shape embedding gathers: each sublayer, modulation split and condition
-# lookup written out in full, with a reshape after every gather. The shared
-# forms must match it bit for bit, with fewer tape nodes.
+# Oracles for in-place modulation, `SpaceTimeBlock._sublayer` and the
+# in-shape embedding gathers: the adaLN ops that read shift, scale and gate
+# as (L, 1, H) tensors cut out of the modulation on the tape (the norm is
+# test_tensor's hand-written one), each sublayer written out in full, and a
+# reshape after every gather. The denoiser must match them bit for bit, with
+# fewer tape nodes.
 
 
-def oracle_chunks(self, c_mod):
-    mods = T.reshape(self.mod(c_mod), (-1, 12, c_mod.shape[1]))
-    return [mods[:, i:i + 1] for i in range(12)]
+def sliced_gated_residual(x, gate, y):
+    """`gated_residual` with the gate as a tensor of its own."""
+    out = gate.data * y.data
+    out += x.data
+    return T._node(out, (x, gate, y), [lambda g: g, lambda g: g * y.data, lambda g: g * gate.data])
+
+
+def patch_sliced_ops(monkeypatch, cut=sliced_modulation):
+    """Run `modulated_norm` and `gated_residual` as the sliced ops, each
+    modulation cut once, at its first read, by `cut(mods, hidden)`."""
+    cuts = {}
+
+    def block(mods, x, i):
+        if id(mods) not in cuts:
+            cuts[id(mods)] = mods, cut(mods, x.shape[-1])
+        return cuts[id(mods)][1][i]
+
+    monkeypatch.setattr(T, "modulated_norm", lambda x, mods, i: hand_modulated_norm(
+        x, block(mods, x, i), block(mods, x, i + 1)))
+    monkeypatch.setattr(T, "gated_residual", lambda x, mods, i, y: sliced_gated_residual(
+        x, block(mods, x, i), y))
+
+
+def oracle_cut(mods, hidden):
+    """The block modulations cut by one reshape and a slice per block, the
+    final layer's by two slices and two reshapes."""
+    if mods.shape[1] != 2 * hidden:
+        return sliced_modulation(mods, hidden)
+    l = mods.shape[0]
+    return [T.reshape(mods[:, :hidden], (l, 1, hidden)),
+            T.reshape(mods[:, hidden:], (l, 1, hidden))]
 
 
 def oracle_spatial_step(self, x, mods):
-    shift, scale, gate = mods[0], mods[1], mods[2]
-    h = T.modulated_norm(x, shift, scale)
-    return T.gated_residual(x, gate, self.spatial_attn(h, h))
+    h = T.modulated_norm(x, mods, 0)
+    return T.gated_residual(x, mods, 2, self.spatial_attn(h, h))
 
 
 def oracle_temporal_step(self, x, mods, rope):
-    shift, scale, gate = mods[3], mods[4], mods[5]
-    h = T.modulated_norm(x, shift, scale)
+    h = T.modulated_norm(x, mods, 3)
     ht = T.transpose(h, (1, 0, 2))
     out = T.transpose(self.temporal_attn(ht, ht, rope), (1, 0, 2))
-    return T.gated_residual(x, gate, out)
+    return T.gated_residual(x, mods, 5, out)
 
 
 def oracle_cross_step(self, x, mods, cond_kv):
-    shift, scale, gate = mods[6], mods[7], mods[8]
-    h = T.modulated_norm(x, shift, scale)
-    return T.gated_residual(x, gate, self.cross_attn(h, cond_kv))
+    h = T.modulated_norm(x, mods, 6)
+    return T.gated_residual(x, mods, 8, self.cross_attn(h, cond_kv))
 
 
 def oracle_mlp_step(self, x, mods):
-    shift, scale, gate = mods[9], mods[10], mods[11]
-    h = T.modulated_norm(x, shift, scale)
-    return T.gated_residual(x, gate, self.mlp(h))
-
-
-def oracle_final_modulation(fm, n):
-    """The final layer's shift and scale: two slices, two reshapes."""
-    assert n == 2
-    l, hidden = fm.shape[0], fm.shape[1] // 2
-    return (T.reshape(fm[:, :hidden], (l, 1, hidden)),
-            T.reshape(fm[:, hidden:], (l, 1, hidden)))
+    h = T.modulated_norm(x, mods, 9)
+    return T.gated_residual(x, mods, 11, self.mlp(h))
 
 
 def oracle_condition_kv(self, cond, l):
@@ -436,57 +456,71 @@ def assert_bit_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+# kind, the nodes the written-out oracle adds beyond the sliced modulation's
+# (its gathers' reshapes, and the final layer's two reshapes where the sliced
+# modulation has one), and the embeddings that get no gradient
+CONDITIONS = [
+    ("caption", 3, ["null_embed.table"]),
+    ("null", 2, ["command_embed.table", "text_embed.table"]),
+    ("none", 2, ["command_embed.table", "text_embed.table"]),
+]
+
+
+def run_denoiser(dtype, kind, idle):
+    """Forward and backward of a randomized depth-4 denoiser on one example:
+    (outputs, parameter gradients, op nodes on the tape)."""
+    cfg = tiny_config(depth=4, channels=3, text_vocab=len(R.VOCAB))
+    model = randomize(B.VideoDenoiser(cfg, np.random.default_rng(0), dtype=dtype),
+                      seed=20, scale=0.3)
+    rng = np.random.default_rng(21)
+    xt = rng.normal(size=(3, 3, 4, 6)).astype(dtype)
+    eps = Tensor(rng.normal(size=xt.shape).astype(dtype))
+    # `then` twice: a repeated gather row
+    tokens = R.encode_caption("ego straight then left then right.")
+    cond = {"caption": make_cond(3, tokens=tokens, cmds=[0, 1, 2]),
+            "null": make_cond(3, tokens=tokens).nulled(), "none": None}[kind]
+    pred = model.forward(xt, np.array([0, 4, 9]), cond, plan_for([0, 2, 5]))
+    loss = T.reduce_sum(T.mul(T.add(pred.eps_hat, pred.v_hat), eps))
+    nodes = tape_ops(loss)["op"]
+    loss.backward()
+    grads = {k: p.grad for k, p in model.named_parameters().items()}
+    assert sorted(k for k, g in grads.items() if g is None) == idle
+    return [pred.eps_hat.data, pred.v_hat.data], grads, nodes
+
+
+def assert_same_run(got, want):
+    for a, b in zip(got[0], want[0]):
+        assert_bit_equal(a, b)
+    assert got[1].keys() == want[1].keys()
+    for k, b in want[1].items():
+        assert (got[1][k] is None) == (b is None), k
+        if b is not None:
+            assert_bit_equal(got[1][k], b)
+
+
 class TestSharedSublayer:
-    CAPTION = "ego straight then left then right."  # `then` twice: a repeated gather row
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind, idle", [(k, i) for k, _, i in CONDITIONS])
+    def test_bits_and_nodes_match_sliced_modulation(self, monkeypatch, dtype, kind, idle):
+        # 12 slices and a reshape per block, 2 slices and a reshape for the
+        # final layer: 55 nodes at depth 4
+        got = run_denoiser(dtype, kind, idle)
+        patch_sliced_ops(monkeypatch)
+        want = run_denoiser(dtype, kind, idle)
+        assert_same_run(got, want)
+        assert want[2] - got[2] == 55
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind, fewer, idle", [
-        ("caption", 3, ["null_embed.table"]),
-        ("null", 2, ["command_embed.table", "text_embed.table"]),
-        ("none", 2, ["command_embed.table", "text_embed.table"]),
-    ])
+    @pytest.mark.parametrize("kind, fewer, idle", CONDITIONS)
     def test_bits_and_nodes_match_written_out_oracle(self, monkeypatch, dtype, kind, fewer,
                                                      idle):
-        cfg = tiny_config(channels=3, text_vocab=len(R.VOCAB))
-        model = randomize(B.VideoDenoiser(cfg, np.random.default_rng(0), dtype=dtype),
-                          seed=20, scale=0.3)
-        rng = np.random.default_rng(21)
-        xt = rng.normal(size=(3, 3, 4, 6)).astype(dtype)
-        eps = Tensor(rng.normal(size=xt.shape).astype(dtype))
-        tokens = R.encode_caption(self.CAPTION)
-        cond = {"caption": make_cond(3, tokens=tokens, cmds=[0, 1, 2]),
-                "null": make_cond(3, tokens=tokens).nulled(), "none": None}[kind]
-
-        def run():
-            model.zero_grad()
-            pred = model.forward(xt, np.array([0, 4, 9]), cond, plan_for([0, 2, 5]))
-            loss = T.reduce_sum(T.mul(T.add(pred.eps_hat, pred.v_hat), eps))
-            seen, todo, nodes = {id(loss)}, [loss], 0
-            while todo:  # the op nodes on the tape, as TestTapeSize counts them
-                node = todo.pop()
-                nodes += node._backward is not None
-                for p in node._parents:
-                    if p.requires_grad and id(p) not in seen:
-                        seen.add(id(p))
-                        todo.append(p)
-            loss.backward()
-            return ([pred.eps_hat.data, pred.v_hat.data],
-                    {k: p.grad for k, p in model.named_parameters().items()}, nodes)
-
-        out, grads, nodes = run()
-        for name, oracle in [("_chunks", oracle_chunks), ("spatial_step", oracle_spatial_step),
+        got = run_denoiser(dtype, kind, idle)
+        patch_sliced_ops(monkeypatch, oracle_cut)
+        for name, oracle in [("spatial_step", oracle_spatial_step),
                              ("temporal_step", oracle_temporal_step),
                              ("cross_step", oracle_cross_step), ("mlp_step", oracle_mlp_step)]:
             monkeypatch.setattr(B.SpaceTimeBlock, name, oracle)
         monkeypatch.setattr(B.VideoDenoiser, "_condition_kv", oracle_condition_kv)
-        monkeypatch.setattr(B, "_modulation", oracle_final_modulation)
-        want_out, want_grads, want_nodes = run()
-
-        for got, want in zip(out, want_out):
-            assert_bit_equal(got, want)
-        assert sorted(k for k, g in want_grads.items() if g is None) == idle
-        for k, want in want_grads.items():
-            assert (grads[k] is None) == (want is None), k
-            if want is not None:
-                assert_bit_equal(grads[k], want)
-        assert want_nodes - nodes == fewer
+        want = run_denoiser(dtype, kind, idle)
+        assert_same_run(got, want)
+        assert want[2] - got[2] == 55 + fewer

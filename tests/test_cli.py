@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from longroad import metrics as M
+from longroad import nn
 from longroad import rollout as RO
 from longroad import toyroad as R
 from longroad.backbone import ConditionSet, VideoDenoiser
@@ -786,6 +787,58 @@ def test_directory_input_exit_two(tmp_path, capsys, flag, kind):
     assert f"data error: cannot read {kind} {folder}: " in capsys.readouterr().err
 
 
+PATH_FLAGS = [("datagen", "--out"), ("train", "--config"), ("train", "--data"),
+              ("train", "--out"), ("rollout", "--ckpt"), ("rollout", "--config"),
+              ("rollout", "--cond"), ("rollout", "--out"), ("eval", "--gen"), ("eval", "--ref"),
+              ("eval", "--config"), ("eval", "--out"), ("eval", "--csv")]
+
+
+@pytest.mark.parametrize("bad", ["\ud800", "a\x00b"], ids=["surrogate", "nul"])
+@pytest.mark.parametrize("command, flag", PATH_FLAGS)
+def test_path_the_os_cannot_take_exit_two(tmp_path, capfd, command, flag, bad):
+    # a lone surrogate the OS cannot encode, or an embedded NUL, in a path
+    # that is otherwise valid input: a data error, not a traceback
+    data = datagen(tmp_path)
+    cfg = str(write_config(tmp_path))
+    ckpt = tmp_path / "model.idck"
+    save_tensors(ckpt, VideoDenoiser(model_config(load_config(cfg)),
+                                     rng_for(3, "init")).named_parameters())
+    flags = {
+        "datagen": {"--out": str(tmp_path / "d"), "--clips": "1", "--frames": "4"},
+        "train": {"--config": cfg, "--data": str(data), "--out": str(tmp_path / "run")},
+        "rollout": {"--ckpt": str(ckpt), "--config": cfg,
+                    "--cond": str(write_condition(tmp_path)), "--iters": "1",
+                    "--out": str(tmp_path / "x.toyr")},
+        "eval": {"--gen": str(data), "--ref": str(data), "--config": cfg,
+                 "--out": str(tmp_path / "r.json"), "--csv": str(tmp_path / "c.csv")},
+    }[command]
+    flags[flag] = bad
+    assert main([command, *[arg for pair in flags.items() for arg in pair]]) == 2
+    assert "data error" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "rollout"])
+@pytest.mark.parametrize("model", [{"text_vocab": 2**62}, {"mlp_ratio": 2**62}, "no memory"],
+                         ids=["text_vocab", "mlp_ratio", "no_memory"])
+def test_model_numpy_cannot_allocate_exit_one(tmp_path, capsys, monkeypatch, command, model):
+    # each passes the config rules, but numpy refuses the parameter arrays
+    # before allocating anything; a real MemoryError is only simulated
+    if model == "no memory":
+        def no_memory(*args, **kw):
+            raise MemoryError()
+        monkeypatch.setattr(nn, "param", no_memory)
+        model = {}
+    data = datagen(tmp_path)
+    cfg = write_config(tmp_path, {**TINY_CONFIG, "model": {**TINY_CONFIG["model"], **model}})
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--data", str(data)],
+            "rollout": ["rollout", "--ckpt", str(tmp_path / "missing"), "--cond", "none",
+                        "--iters", "1"]}[command]
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "configuration error: model section cannot be built" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [b"[1, 2]",                          # not an object
                                      b'{"eval": {"window": 8}}\xff'])  # not UTF-8
 def test_unparsable_config_exit_one(tmp_path, capsys, content):
@@ -822,7 +875,8 @@ FUZZ_FLAGS = {  # each command's required flags first
 }
 BIG = "12345678901234567890"
 FUZZ_VALUES = ["0", "1", "-1", BIG, "nan", "", "missing", "empty", "bad.json", "cut.toyr",
-               "\udcff"]  # a lone surrogate, as an undecodable argv byte arrives
+               "\udcff",  # a lone surrogate, as an undecodable argv byte arrives
+               "\ud800", "a\x00b"]  # paths the OS cannot take, from a caller of main
 
 
 @st.composite

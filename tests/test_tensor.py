@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -424,7 +426,16 @@ class TestZeroDim:
 # `linear`, `layer_norm` and `modulated_norm` once had backwards of their own,
 # kept here as oracles. Built by `_node`, the ops must give the same bytes:
 # output and every gradient, in either dtype, with frozen parents, a
-# non-contiguous input and an output that two later ops read.
+# non-contiguous input and an output that two later ops read. The
+# modulation's oracle reads shift and scale as (L, 1, H) tensors cut out of
+# it by `sliced_modulation`.
+
+
+def sliced_modulation(mods, h):
+    """An (L, n*H) modulation's n (L, 1, H) blocks, cut out on the tape by
+    generic ops: one reshape to (L, n, H) and a slice per block."""
+    cut = T.reshape(mods, (mods.shape[0], -1, h))
+    return [cut[:, i:i + 1] for i in range(cut.shape[1])]
 
 
 def hand_linear(x, w, b):
@@ -510,10 +521,10 @@ NODE_BUILT = {  # name: (op, oracle, shapes of the two other parents for x (A, B
     "layer_norm_first": (lambda x, g, b: T.layer_norm(x, g, b, axis=0),
                          lambda x, g, b: hand_layer_norm(x, g, b, axis=0),
                          lambda a, b, h, k: [(a,), (a,)]),
-    "modulated_norm": (T.modulated_norm, hand_modulated_norm,
-                       lambda a, b, h, k: [(a, 1, h)] * 2),
-    "modulated_norm_full": (T.modulated_norm, hand_modulated_norm,
-                            lambda a, b, h, k: [(a, b, h)] * 2),
+    "modulated_norm": (lambda x, mods: T.modulated_norm(x, mods, 1),
+                       lambda x, mods: hand_modulated_norm(
+                           x, *sliced_modulation(mods, x.shape[-1])[1:3]),
+                       lambda a, b, h, k: [(a, 3 * h)]),
 }
 
 
@@ -560,7 +571,8 @@ class TestNodeBuiltLayers:
 
 # -- fused layers ---------------------------------------------------------------
 # The oracles are the compositions of primitive ops that `linear`, `attention`,
-# `modulated_norm`, `mlp` and `gated_residual` replaced. The first three sum
+# `modulated_norm`, `mlp` and `gated_residual` replaced, the last two reading
+# their modulation blocks through `sliced_modulation`. The first three sum
 # in another order, so they are compared in float64 within 1e-10 of the
 # largest oracle magnitude; the last two keep every operation and its order,
 # and are also checked bit for bit in float32.
@@ -606,6 +618,16 @@ def oracle_gated_residual(x, gate, y):
     return T.add(x, T.mul(gate, y))
 
 
+def unfused_modulated_norm(x, mods, i):
+    """`modulated_norm`'s contract from the composition above."""
+    return oracle_modulated_norm(x, *sliced_modulation(mods, x.shape[-1])[i:i + 2])
+
+
+def unfused_gated_residual(x, mods, i, y):
+    """`gated_residual`'s contract from the composition above."""
+    return oracle_gated_residual(x, sliced_modulation(mods, x.shape[-1])[i], y)
+
+
 def rope_for(n, dh, rng):
     ang = rng.uniform(-np.pi, np.pi, size=(n, dh // 2))
     return np.cos(ang), np.sin(ang)
@@ -627,12 +649,12 @@ def fused_cases():
          lambda q, k, v: oracle_attention(q, k, v, 2, 0.7, rope), ins(*[(3, 5, 8)] * 3)),
         ("attention_cross", lambda q, k, v: T.attention(q, k, v, 2, 0.5),
          lambda q, k, v: oracle_attention(q, k, v, 2, 0.5), ins((2, 4, 8), (2, 3, 8), (2, 3, 8))),
-        ("modulated_norm", T.modulated_norm, oracle_modulated_norm,
-         ins((3, 4, 6), (3, 1, 6), (3, 1, 6))),
+        ("modulated_norm", lambda x, m: T.modulated_norm(x, m, 1),
+         lambda x, m: unfused_modulated_norm(x, m, 1), ins((3, 4, 6), (3, 18))),
         ("mlp", T.mlp, oracle_mlp, ins((2, 3, 4), (4, 6), (6,), (6, 4), (4,))),
         ("mlp_2d", T.mlp, oracle_mlp, ins((5, 3), (3, 3), (3,), (3, 3), (3,))),
-        ("gated_residual", T.gated_residual, oracle_gated_residual,
-         ins((3, 4, 6), (3, 1, 6), (3, 4, 6))),
+        ("gated_residual", lambda x, m, y: T.gated_residual(x, m, 2, y),
+         lambda x, m, y: unfused_gated_residual(x, m, 2, y), ins((3, 4, 6), (3, 18), (3, 4, 6))),
     ]
 
 
@@ -642,14 +664,38 @@ def weighted_sum(y, seed=41):
     return T.reduce_sum(T.mul(y, Tensor(w)))
 
 
-def tape_size(loss):
-    seen, todo = {id(loss)}, [loss]
+def named_ops(monkeypatch) -> dict:
+    """From here on, name each op node after the op that made it: the first
+    caller of `Tensor._from_op` that is not `_node` (`slice_`, `linear`,
+    `gaussian_kl`, ...). Returns the map from node id to name."""
+    names, from_op = {}, Tensor._from_op
+
+    def named(data, parents, backward_fn):
+        out = from_op(data, parents, backward_fn)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "_node":
+            frame = frame.f_back
+        names[id(out)] = frame.f_code.co_name
+        return out
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(named))
+    return names
+
+
+def tape_ops(loss, names=None) -> Counter:
+    """The op nodes on `loss`'s tape, walked as perfbench's tape counter
+    walks it, counted by name from `named_ops` or else all as "op". The
+    parameter leaves the walk reaches are not counted."""
+    seen, todo, ops = {id(loss)}, [loss], Counter()
     while todo:
-        for p in todo.pop()._parents:
+        node = todo.pop()
+        if node._backward is not None:
+            ops[names[id(node)] if names else "op"] += 1
+        for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 todo.append(p)
-    return len(seen)
+    return ops
 
 
 class TestFusedOps:
@@ -673,7 +719,8 @@ class TestFusedOps:
 
     def test_one_tape_node_each(self):
         for _, fused, _, inputs in fused_cases():
-            assert tape_size(fused(*inputs)) == 1 + len(inputs)
+            y = fused(*inputs)
+            assert tape_ops(y) == {"op": 1} and y._parents == tuple(inputs)
 
     @pytest.mark.parametrize("name", ["mlp", "gated_residual"])
     def test_float32_bit_equal_to_unfused(self, name):
@@ -682,9 +729,11 @@ class TestFusedOps:
         # hidden layer spans several GELU blocks
         rng = np.random.default_rng(43)
         shapes = {"mlp": [(4, 70, 16), (16, 64), (64,), (64, 16), (16,)],
-                  "gated_residual": [(4, 70, 16), (4, 1, 16), (4, 70, 16)]}[name]
+                  "gated_residual": [(4, 70, 16), (4, 48), (4, 70, 16)]}[name]
         fused, oracle = {"mlp": (T.mlp, oracle_mlp),
-                         "gated_residual": (T.gated_residual, oracle_gated_residual)}[name]
+                         "gated_residual": (lambda x, m, y: T.gated_residual(x, m, 1, y),
+                                            lambda x, m, y: unfused_gated_residual(x, m, 1, y))
+                         }[name]
         inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
                   for s in shapes]
         g = Tensor(rng.normal(size=shapes[0]).astype(np.float32))
@@ -738,13 +787,7 @@ class TestFusedOps:
         with pytest.raises(ShapeError):
             T.mlp(*[t64(np.zeros(s)) for s in [(2, 3), (3, 4), (4,), (4, 3), (2,)]])
         with pytest.raises(ShapeError):
-            T.gated_residual(*[t64(np.zeros(s)) for s in [(2, 3), (3,), (2, 1)]])
-        with pytest.raises(ShapeError):
-            T.gated_residual(*[t64(np.zeros(s)) for s in [(2, 3), (2,), (2, 3)]])
-        with pytest.raises(ShapeError):
             T.attention(*[t64(np.zeros((1, 2, 6)))] * 3, heads=4, scale=1.0)
-        with pytest.raises(ShapeError):
-            T.modulated_norm(t64(np.zeros((2, 3))), t64(np.zeros(3)), t64(np.zeros(2)))
 
     def test_block_matches_oracle_with_fewer_tape_nodes(self, monkeypatch):
         from longroad import backbone as B
@@ -766,16 +809,16 @@ class TestFusedOps:
             c_mod = model.t_embed(np.array([3, 7, 11]), (10.0, 4.0, 4.0))
             out = block(t64(x), c_mod, model._condition_kv(cond, 3), rope)
             loss = weighted_sum(out)
-            nodes = tape_size(loss)
+            nodes = tape_ops(loss)["op"]
             loss.backward()
             return out.data, {k: p.grad for k, p in block.named_parameters().items()}, nodes
 
         out, grads, nodes = run()
         monkeypatch.setattr(T, "linear", oracle_linear)
         monkeypatch.setattr(T, "attention", oracle_attention)
-        monkeypatch.setattr(T, "modulated_norm", oracle_modulated_norm)
+        monkeypatch.setattr(T, "modulated_norm", unfused_modulated_norm)
         monkeypatch.setattr(T, "mlp", oracle_mlp)
-        monkeypatch.setattr(T, "gated_residual", oracle_gated_residual)
+        monkeypatch.setattr(T, "gated_residual", unfused_gated_residual)
         want_out, want_grads, want_nodes = run()
 
         assert np.max(np.abs(out - want_out)) <= 1e-10 * np.max(np.abs(want_out))
@@ -785,6 +828,36 @@ class TestFusedOps:
         for k, g in want_grads.items():
             assert np.max(np.abs(grads[k] - g)) <= 1e-10 * scale, k
         assert nodes < want_nodes
+
+
+class TestModulationBlocks:
+    """`modulated_norm` and `gated_residual` read their blocks in place from
+    an (L, n*H) modulation through one layout check."""
+
+    FAULTS = [None, "x rank 2", "x rank 4", "H 0", "mods rank 1", "mods rank 3", "other L",
+              "block below 0", "block past width", "y shape"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(dims=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 4)),
+           i=st.integers(0, 3), spare=st.integers(0, 2), gated=st.booleans(),
+           fault=st.sampled_from(FAULTS))
+    def test_every_bad_layout_is_shape_error(self, dims, i, spare, gated, fault):
+        l, s, h = dims
+        x_shape = {"x rank 2": (l, s), "x rank 4": (l, s, h, 1),
+                   "H 0": (l, s, 0)}.get(fault, (l, s, h))
+        i = -1 if fault == "block below 0" else i
+        width = (i + (1 if gated else 2)) * h + (-1 if fault == "block past width" else spare)
+        mods_shape = {"mods rank 1": (width,), "mods rank 3": (l, width, 1),
+                      "other L": (l + 1, width)}.get(fault, (l, width))
+        x, mods = t64(np.ones(x_shape)), t64(np.ones(mods_shape))
+        y = t64(np.ones((l, s + 1, h) if fault == "y shape" else x_shape))
+        call = ((lambda: T.gated_residual(x, mods, i, y)) if gated
+                else (lambda: T.modulated_norm(x, mods, i)))
+        if fault is None or (fault == "y shape" and not gated):
+            assert call().shape == x_shape
+        else:
+            with pytest.raises(ShapeError):
+                call()
 
 
 def hand_attention(q, k, v, heads, scale, rope=None):
@@ -946,7 +1019,8 @@ class TestBlockedAttention:
 def test_denoiser_float32_bit_equal_to_unfused_with_fewer_nodes(monkeypatch):
     """The fused MLP and gated-residual nodes change no bit of a float32
     forward or backward, and remove 6 tape nodes per block plus 2 for the
-    timestep MLP."""
+    timestep MLP; the unfused gates also cut their blocks out of the
+    modulation, a reshape and a slice each, 8 nodes more per block."""
     from longroad import backbone as B
 
     cfg = B.ModelConfig(depth=2, hidden=16, heads=2, patch=2, channels=3, t_max=20,
@@ -964,17 +1038,17 @@ def test_denoiser_float32_bit_equal_to_unfused_with_fewer_nodes(monkeypatch):
         model.zero_grad()
         pred = model.forward(x, np.array([0, 4, 9]), cond, plan)
         loss = T.reduce_sum(T.mul(T.add(pred.eps_hat, pred.v_hat), Tensor(eps)))
-        nodes = tape_size(loss)
+        nodes = tape_ops(loss)["op"]
         loss.backward()
         return loss.data, {k: p.grad for k, p in model.named_parameters().items()}, nodes
 
     loss, grads, nodes = run()
     monkeypatch.setattr(T, "mlp", oracle_mlp)
-    monkeypatch.setattr(T, "gated_residual", oracle_gated_residual)
+    monkeypatch.setattr(T, "gated_residual", unfused_gated_residual)
     want_loss, want_grads, want_nodes = run()
     assert loss.tobytes() == want_loss.tobytes()
     assert [k for k, g in grads.items() if g is None] == ["null_embed.table"]
     for k, g in want_grads.items():
         if g is not None:
             assert grads[k].dtype == np.float32 and grads[k].tobytes() == g.tobytes(), k
-    assert want_nodes - nodes == 6 * cfg.depth + 2
+    assert want_nodes - nodes == (6 + 8) * cfg.depth + 2

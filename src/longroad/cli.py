@@ -26,7 +26,7 @@ from . import toyroad as R
 from . import training as TR
 from .backbone import ConditionSet, VideoDenoiser
 from .diffusion import build_schedule
-from .fileio import atomic_write, output_errors, write_json
+from .fileio import _check_os_path, atomic_write, output_errors, write_json
 from .errors import (ConfigError, ContractError, DataError, FormatError,
                      LongroadError, MetricUndefinedError, NumericDomainError,
                      NumericFailure)
@@ -252,10 +252,10 @@ def _chunk_record(index, written, seconds, steps, ref, last, pixels, frames) -> 
 
 
 def _clip_paths(path) -> list[Path]:
-    root = Path(path)
-    files = sorted(root.glob("*.toyr"))
+    _check_os_path(path, "cannot read clips under")
+    files = sorted(Path(path).glob("*.toyr"))
     if not files:
-        raise DataError(f"no .toyr clips under {root}")
+        raise DataError(f"no .toyr clips under {path!r}")
     return files
 
 

@@ -2,9 +2,11 @@
 
 numpy-backed, CPU-only, float32/float64. Every op is a pure function of its
 inputs; tensors that participate in a tape are never mutated in place.
-Broadcasting follows numpy's trailing-axis alignment. A tensor produced by an
-op records its parents and a backward closure; `backward()` on a scalar loss
-walks the tape once in reverse topological order.
+Broadcasting follows numpy's trailing-axis alignment. A tensor is its value
+plus a tape node, which holds no array: the node records its parents' nodes
+and a backward closure that keeps only the arrays it reads, so a value no
+backward reads is freed once its caller drops it. `backward()` on a scalar
+loss walks the nodes once in reverse topological order.
 """
 
 from __future__ import annotations
@@ -42,24 +44,50 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-class Tensor:
-    """A dense array plus its slot on the autodiff tape.
+class _Node:
+    """A tensor's slot on the autodiff tape; it holds no array.
 
-    `data` is the value, `grad` the accumulated gradient (same shape, filled
-    by `backward`), `_parents`/`_backward` the op record for the chain rule.
+    `_parents` are the nodes of the op's inputs and `_backward` maps the
+    output gradient to theirs; `grad` accumulates during `backward` and
+    `shape` is the value's, for `_unbroadcast`.
+    """
+
+    __slots__ = ("requires_grad", "shape", "grad", "_parents", "_backward")
+
+    def __init__(self, requires_grad: bool, shape: tuple[int, ...], parents=(), backward=None):
+        self.requires_grad = requires_grad
+        self.shape = shape
+        self.grad: np.ndarray | None = None
+        self._parents: tuple[_Node, ...] = parents
+        self._backward = backward
+
+
+# the parent slot of every tensor without a node: no gradient flows to it
+_CONSTANT = _Node(False, ())
+
+
+def _nodes(tensors) -> tuple[_Node, ...]:
+    # from a list, not a generator: `tuple` sizes a generator's tuple by
+    # resizing it, and each such tuple, once freed, grows the tuple free list
+    return tuple([t._node or _CONSTANT for t in tensors])
+
+
+class Tensor:
+    """A dense array plus its node on the autodiff tape.
+
+    `data` is the value; `_node` is None when no gradient is needed.
+    `requires_grad`, `grad` (the accumulated gradient, filled by `backward`)
+    and the op record `_parents`/`_backward` read through to the node.
     Leaf tensors created with `requires_grad=True` act as parameters.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)  # float32 and float64 stay, anything else becomes float32
         self.data = np.asarray(  # C order, and a 0-d array stays 0-d
             arr, arr.dtype if arr.dtype in _ALLOWED_DTYPES else np.float32, order="C")
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node = _Node(True, self.data.shape) if requires_grad else None
 
     # -- construction helpers -------------------------------------------------
 
@@ -67,15 +95,33 @@ class Tensor:
     def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], backward_fn):
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.grad = None
-        out.requires_grad = _recording(parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._backward = backward_fn
-        else:
-            out._parents = ()
-            out._backward = None
+        out._node = (_Node(True, data.shape, _nodes(parents), backward_fn)
+                     if _recording(parents) else None)
         return out
+
+    # -- the node's fields ------------------------------------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None and self._node.requires_grad
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self._node is None:  # a gradient for a tensor that needs none
+            self._node = _Node(False, self.data.shape)
+        self._node.grad = g
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
 
     # -- basic protocol --------------------------------------------------------
 
@@ -106,24 +152,28 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self):
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def astype(self, dtype) -> "Tensor":
-        return _node(self.data.astype(dtype), (self,), [lambda g: g.astype(self.dtype)])
+        dt = self.dtype
+        return _node(self.data.astype(dtype), (self,), [lambda g: g.astype(dt)])
 
     # -- autodiff ---------------------------------------------------------------
 
     def backward(self):
         """Reverse-mode pass from a scalar. Accumulates into `.grad` of every
-        reachable tensor with `requires_grad`.
+        reachable tensor with `requires_grad`; a scalar that needs no
+        gradient only takes the seed, ones, as its own `.grad`.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
-        topo: list[Tensor] = []
+        _accum(self, np.ones_like(self.data))
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -137,8 +187,6 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
-        seed = np.ones_like(self.data)
-        _accum(self, seed)
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -148,7 +196,8 @@ class Tensor:
         return slice_(self, idx)
 
 
-def _accum(t: Tensor, g: np.ndarray):
+def _accum(t, g: np.ndarray):
+    """Add `g` into the gradient of `t`, a node or a tensor."""
     if t.grad is None:
         t.grad = g.copy() if not g.flags.owndata else g
     else:
@@ -169,21 +218,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _node(out: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
-    """The tape node of an op whose parents' gradients share no work.
+    """The tensor of an op whose parents' gradients share no work.
 
     `grads[i](g)` is parent i's local gradient for the output gradient `g`;
-    the node's backward is `_backprop` over all parents.
+    the node's backward is `_backprop` over the parents' nodes. Each
+    `grads[i]` keeps the arrays it reads and no tensor.
 
     Two ops keep a backward of their own, because one intermediate gradient
     feeds several parents and is built once: in `mlp`, fc1's output gradient
     `gh` feeds `x`, `w1` and `b1`; in `attention`, the score gradient `ds`
     feeds `q` and `k`. Both accumulate through `_backprop`.
     """
-    return Tensor._from_op(out, parents, lambda g: _backprop(parents, grads, g))
+    nodes = _nodes(parents)
+    return Tensor._from_op(out, parents, lambda g: _backprop(nodes, grads, g))
 
 
-def _backprop(parents: tuple[Tensor, ...], grads, g: np.ndarray):
-    """Skip a parent that needs no gradient, sum the rest back to the
+def _backprop(parents: tuple[_Node, ...], grads, g: np.ndarray):
+    """Skip a parent node that needs no gradient, sum the rest back to the
     parent's shape and accumulate them in parent order, so a tensor passed
     twice (`mul(x, x)`) adds its two terms in that order."""
     for p, grad in zip(parents, grads):
@@ -202,6 +253,11 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return a, b
 
 
+def _kept(t: Tensor, other: Tensor) -> np.ndarray | None:
+    """`t`'s value, for a backward that reads it only for `other`'s gradient."""
+    return t.data if other.requires_grad else None
+
+
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
     return _node(a.data + b.data, (a, b), [lambda g: g, lambda g: g])
@@ -214,13 +270,14 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    return _node(a.data * b.data, (a, b), [lambda g: g * b.data, lambda g: g * a.data])
+    x, y = _kept(a, b), _kept(b, a)
+    return _node(a.data * b.data, (a, b), [lambda g: g * y, lambda g: g * x])
 
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b)
-    return _node(a.data / b.data, (a, b),
-                 [lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)])
+    x, y = _kept(a, b), b.data
+    return _node(a.data / y, (a, b), [lambda g: g / y, lambda g: -g * x / (y * y)])
 
 
 def neg(a: Tensor) -> Tensor:
@@ -235,7 +292,8 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise NumericDomainError("log requires strictly positive input")
-    return _node(np.log(a.data), (a,), [lambda g: g / a.data])
+    x = a.data
+    return _node(np.log(x), (a,), [lambda g: g / x])
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -447,8 +505,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = np.matmul(a.data, b.data)
     except ValueError as e:
         raise ShapeError(f"matmul batch extents not broadcastable: {a.shape} x {b.shape}") from e
-    return _node(out, (a, b), [lambda g: np.matmul(g, b.data.swapaxes(-1, -2)),
-                               lambda g: np.matmul(a.data.swapaxes(-1, -2), g)])
+    x, y = _kept(a, b), _kept(b, a)
+    return _node(out, (a, b), [lambda g: np.matmul(g, y.swapaxes(-1, -2)),
+                               lambda g: np.matmul(x.swapaxes(-1, -2), g)])
 
 
 # -- fused layers: one tape node each ---------------------------------------------
@@ -483,10 +542,9 @@ def _affine_grad_b(g: np.ndarray) -> np.ndarray:
     return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
-def _affine_grads(x: Tensor, w: Tensor) -> list:
+def _affine_grads(x: np.ndarray, w: np.ndarray) -> list:
     """The local gradients of x, w and b, as `_node` and `_backprop` take them."""
-    return [lambda g: _affine_grad_x(g, w.data), lambda g: _affine_grad_w(x.data, g),
-            _affine_grad_b]
+    return [lambda g: _affine_grad_x(g, w), lambda g: _affine_grad_w(x, g), _affine_grad_b]
 
 
 def _check_linear(x_shape: tuple[int, ...], w: Tensor, b: Tensor):
@@ -500,7 +558,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` over the last axis of `x`. Leading axes fold into one 2-D
     GEMM, forward and backward, so the weight gradient is `x2ᵀ @ g2`."""
     _check_linear(x.shape, w, b)
-    return _node(_affine(x.data, w.data, b.data), (x, w, b), _affine_grads(x, w))
+    return _node(_affine(x.data, w.data, b.data), (x, w, b), _affine_grads(x.data, w.data))
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -512,20 +570,22 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     _check_linear(x.shape[:-1] + w1.shape[1:], w2, b2)
     parents = (x, w1, b1, w2, b2)
     track = _recording(parents)
-    h = _affine(x.data, w1.data, b1.data)
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    h = _affine(xd, w1d, b1.data)
     act, cdf = _gelu_forward(h, keep_cdf=track)
     if not track:
         h = None  # without a backward, fc1's output can go before fc2's GEMM
-    out = _affine(act, w2.data, b2.data)
+    out = _affine(act, w2d, b2.data)
+    nx, nw1, nb1, nw2, nb2 = _nodes(parents)
 
     def bw(g):
-        need_h = x.requires_grad or w1.requires_grad or b1.requires_grad
-        g_act = _affine_grad_x(g, w2.data) if need_h else None
-        _backprop((w2, b2), [lambda g: _affine_grad_w(h * cdf, g), _affine_grad_b], g)
+        need_h = nx.requires_grad or nw1.requires_grad or nb1.requires_grad
+        g_act = _affine_grad_x(g, w2d) if need_h else None
+        _backprop((nw2, nb2), [lambda g: _affine_grad_w(h * cdf, g), _affine_grad_b], g)
         if need_h:
             gh = _gelu_backward(h, cdf, g_act)
             del g_act
-            _backprop((x, w1, b1), _affine_grads(x, w1), gh)
+            _backprop((nx, nw1, nb1), _affine_grads(xd, w1d), gh)
 
     return Tensor._from_op(out, parents, bw)
 
@@ -542,10 +602,11 @@ def _mod_blocks(op: str, x: Tensor, mods: Tensor, blocks, y: Tensor | None = Non
     return [mods.data[:, None, i * h:(i + 1) * h] for i in blocks]
 
 
-def _mod_grad(mods: Tensor, parts) -> np.ndarray:
-    """The gradient of `mods` from (block, local gradient) pairs: each block
-    holds its local gradient summed over tokens, every other column zero."""
-    full, h = np.zeros_like(mods.data), parts[0][1].shape[2]
+def _mod_grad(shape: tuple[int, int], dtype, parts) -> np.ndarray:
+    """The gradient of an (L, n·H) modulation of `shape` and `dtype` from
+    (block, local gradient) pairs: each block holds its local gradient
+    summed over tokens, every other column zero."""
+    full, h = np.zeros(shape, dtype), parts[0][1].shape[2]
     for i, g in parts:
         full[:, i * h:(i + 1) * h] = g.sum(axis=1)
     return full
@@ -555,15 +616,33 @@ def gated_residual(x: Tensor, mods: Tensor, i: int, y: Tensor) -> Tensor:
     """`x + gate * y`, a gated residual update, as one node, the gate block i
     of `mods` (`_mod_blocks`); the tape keeps the gate and `y`, no product."""
     (gate,) = _mod_blocks("gated_residual", x, mods, (i,), y)
-    out = gate * y.data
+    yd, shape, dt = y.data, mods.shape, mods.dtype
+    out = gate * yd
     out += x.data
     return _node(out, (x, mods, y),
-                 [lambda g: g, lambda g: _mod_grad(mods, [(i, g * y.data)]), lambda g: g * gate])
+                 [lambda g: g, lambda g: _mod_grad(shape, dt, [(i, g * yd)]), lambda g: g * gate])
 
 
 # Attention runs in blocks of at most this many score elements (512 KB of
 # float32), so each block's scores and weights stay in L2.
 _ATTN_BLOCK = 1 << 17
+# Score rows of at most this many keys take their max as a column-by-column
+# `np.maximum` fold: `np.max` costs ~90 ns a row whatever its width, and the
+# fold beats it 2.5x or more up to 48 keys and ties it near 64. Temporal
+# (at most 32 keys) and cross attention (10) fold; spatial rows (96 and up)
+# do not.
+_FOLD_KEYS = 48
+
+
+def _row_max(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each row's max of `s` (..., n) into `out` (..., 1): `np.max`'s value
+    up to the sign of a zero, and NaN in a row that holds one."""
+    if s.shape[-1] > _FOLD_KEYS:
+        return np.max(s, axis=-1, keepdims=True, out=out)
+    out[...] = s[..., :1]
+    for j in range(1, s.shape[-1]):
+        np.maximum(out, s[..., j:j + 1], out=out)
+    return out
 
 
 def _split_heads(x: np.ndarray, heads: int, rope=None) -> np.ndarray:
@@ -623,9 +702,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
 
     Each block of `_attention_blocks` builds its weights, writes them times
     v into the merged output and drops them. The tape keeps the rotated
-    heads (views of q and k without `rope`) and each score row's max and
-    sum, (B, heads, n_q, 1) each; the backward rebuilds each block's weights
-    with the forward's operations, so every bit is a one-shot softmax's."""
+    heads (views of q and k without `rope`; with it, q and k themselves are
+    freed) and each score row's max and sum, (B, heads, n_q, 1) each; the
+    backward rebuilds each block's weights with the forward's operations, so
+    every bit is a one-shot softmax's."""
     if (q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or k.shape[0] != q.shape[0]
             or k.shape[2] != q.shape[2] or k.shape[1] == 0 or heads < 1
             or q.shape[2] % heads):
@@ -645,7 +725,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
         qb = qh[blk]
         s = _scores(qb, kh[blk], scale, out=buf[:qb.shape[0], :qb.shape[1]])
         if fresh:
-            np.max(s, axis=-1, keepdims=True, out=row_max[blk])
+            _row_max(s, row_max[blk])
         s -= row_max[blk]
         np.exp(s, out=s)
         if fresh:
@@ -658,6 +738,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
     for blk in blocks:
         np.matmul(weights(blk, buf, True), vh[blk], out=out_h[blk])
 
+    nodes = _nodes((v, q, k))
+
     def head_grad(ds, xh, out):  # `ds @ xh`, unrotated, into a merged gradient
         if rope is None:
             return np.matmul(ds, xh, out=out)
@@ -665,7 +747,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
 
     def bw(g):
         gh, g_dt = _split_heads(g, heads), np.result_type(out_dt, g)
-        gv, gq, gk = (np.empty(t.shape, g_dt) if t.requires_grad else None for t in (v, q, k))
+        gv, gq, gk = (np.empty(n.shape, g_dt) if n.requires_grad else None for n in nodes)
         p_buf, ds_buf = np.empty(block_shape, dt), np.empty(block_shape, g_dt)
         for blk in blocks:
             p = weights(blk, p_buf, False)
@@ -679,7 +761,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
                 head_grad(ds, kh[blk], _split_heads(gq, heads)[blk])
             if gk is not None:
                 head_grad(ds.swapaxes(-1, -2), qh[blk], _split_heads(gk, heads)[blk])
-        _backprop((v, q, k), (lambda _: gv, lambda _: gq, lambda _: gk), g)
+        _backprop(nodes, (lambda _: gv, lambda _: gq, lambda _: gk), g)
 
     return Tensor._from_op(out, (q, k, v), bw)
 
@@ -689,6 +771,7 @@ def modulated_norm(x: Tensor, mods: Tensor, i: int) -> Tensor:
     1e-6, with no learned gain or bias (adaLN modulation); shift is block i
     of `mods` and scale block i + 1 (`_mod_blocks`)."""
     shift, scale = _mod_blocks("modulated_norm", x, mods, (i, i + 1))
+    n, shape, dt = x.shape[-1], mods.shape, mods.dtype
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
@@ -700,13 +783,14 @@ def modulated_norm(x: Tensor, mods: Tensor, i: int) -> Tensor:
 
     def grad_x(g):
         d = g * gain                                    # d(xhat)
-        m2 = np.einsum("...i,...i->...", d, xhat)[..., None] / x.shape[-1]
+        m2 = np.einsum("...i,...i->...", d, xhat)[..., None] / n
         d -= d.mean(axis=-1, keepdims=True)
         d -= xhat * m2
         d *= inv
         return d
 
-    return _node(out, (x, mods), [grad_x, lambda g: _mod_grad(mods, [(i, g), (i + 1, g * xhat)])])
+    return _node(out, (x, mods),
+                 [grad_x, lambda g: _mod_grad(shape, dt, [(i, g), (i + 1, g * xhat)])])
 
 
 # -- reductions -------------------------------------------------------------------
@@ -718,25 +802,26 @@ def _norm_axes(axes, ndim):
 
 
 def reduce_sum(a: Tensor, axes=None) -> Tensor:
-    ax = _norm_axes(axes, a.ndim)
+    ax, shape = _norm_axes(axes, a.ndim), a.shape
     return _node(a.data.sum(axis=ax), (a,),
-                 [lambda g: np.broadcast_to(np.expand_dims(g, ax), a.shape).copy()])
+                 [lambda g: np.broadcast_to(np.expand_dims(g, ax), shape).copy()])
 
 
 def reduce_mean(a: Tensor, axes=None) -> Tensor:
-    ax = _norm_axes(axes, a.ndim)
+    ax, shape = _norm_axes(axes, a.ndim), a.shape
     count = 1
     for i in ax:
         count *= a.shape[i]
     return _node(a.data.mean(axis=ax), (a,),
-                 [lambda g: np.broadcast_to(np.expand_dims(g, ax), a.shape) / count])
+                 [lambda g: np.broadcast_to(np.expand_dims(g, ax), shape) / count])
 
 
 # -- structural ops ---------------------------------------------------------------
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    return _node(a.data.reshape(shape), (a,), [lambda g: g.reshape(a.shape)])
+    old = a.shape
+    return _node(a.data.reshape(shape), (a,), [lambda g: g.reshape(old)])
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -745,8 +830,10 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 def slice_(a: Tensor, idx) -> Tensor:
     """Basic (int/slice/tuple) indexing; gradient scatters back into place."""
+    shape, dt = a.shape, a.dtype
+
     def scatter(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dt)
         full[idx] = g
         return full
 
@@ -772,8 +859,10 @@ def gather(table: Tensor, indices) -> Tensor:
             f"gather index out of range for table with {table.shape[0]} rows"
         )
 
+    shape, dt = table.shape, table.dtype
+
     def scatter_add(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(shape, dt)
         np.add.at(full, idx, g)
         return full
 

@@ -817,6 +817,31 @@ def test_path_the_os_cannot_take_exit_two(tmp_path, capfd, command, flag, bad):
     assert "data error" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("bad, reason", [("a\x00b", "embedded null byte"),
+                                         ("\ud800", "surrogates not allowed")],
+                         ids=["nul", "surrogate"])
+@pytest.mark.parametrize("flag", ["--gen", "--ref"])
+def test_eval_clip_folder_the_os_cannot_take_names_the_reason(tmp_path, capfd, flag, bad,
+                                                              reason):
+    # the folder is checked before it is globbed, and named by repr, so the
+    # message gives the reason and no raw NUL reaches stderr
+    data = datagen(tmp_path)
+    flags = {"--gen": str(data), "--ref": str(data), "--out": str(tmp_path / "r.json")}
+    flags[flag] = bad
+    assert main(["eval", *[arg for pair in flags.items() for arg in pair]]) == 2
+    err = capfd.readouterr().err
+    assert f"data error: cannot read clips under {bad!r}: {reason}" in err
+    assert "\0" not in err
+
+
+def test_eval_folder_without_clips_named_by_repr(tmp_path, capfd):
+    data, empty = datagen(tmp_path), tmp_path / "no\nclips"
+    empty.mkdir()
+    assert main(["eval", "--gen", str(empty), "--ref", str(data),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert f"data error: no .toyr clips under {str(empty)!r}\n" in capfd.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "rollout"])
 @pytest.mark.parametrize("model", [{"text_vocab": 2**62}, {"mlp_ratio": 2**62}, "no memory"],
                          ids=["text_vocab", "mlp_ratio", "no_memory"])

@@ -1,5 +1,7 @@
 import math
 import sys
+import types
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -376,6 +378,15 @@ class TestBackward:
         T.reduce_sum(T.mul(p, 2.0)).backward()
         np.testing.assert_allclose(p.grad, [3.0, 3.0])
 
+    def test_scalar_without_gradient_takes_only_the_seed(self):
+        # a scalar off the tape takes the seed, ones, as its own grad, and
+        # nothing it was computed from is touched
+        x = Tensor(np.arange(3.0))
+        for y in (Tensor(np.float64(2.0)), T.reduce_sum(T.mul(x, 2.0))):
+            y.backward()
+            assert not y.requires_grad and y.grad.tobytes() == np.ones(()).tobytes()
+        assert x.grad is None and x._node is None
+
     def test_detach_blocks_gradient(self):
         p = t64([2.0])
         loss = T.reduce_sum(T.mul(p.detach(), p))
@@ -667,7 +678,8 @@ def weighted_sum(y, seed=41):
 def named_ops(monkeypatch) -> dict:
     """From here on, name each op node after the op that made it: the first
     caller of `Tensor._from_op` that is not `_node` (`slice_`, `linear`,
-    `gaussian_kl`, ...). Returns the map from node id to name."""
+    `gaussian_kl`, ...). Returns the map from the id of the output's tape
+    node to the name."""
     names, from_op = {}, Tensor._from_op
 
     def named(data, parents, backward_fn):
@@ -675,7 +687,7 @@ def named_ops(monkeypatch) -> dict:
         frame = sys._getframe(1)
         while frame.f_code.co_name == "_node":
             frame = frame.f_back
-        names[id(out)] = frame.f_code.co_name
+        names[id(out._node)] = frame.f_code.co_name
         return out
 
     monkeypatch.setattr(Tensor, "_from_op", staticmethod(named))
@@ -686,7 +698,7 @@ def tape_ops(loss, names=None) -> Counter:
     """The op nodes on `loss`'s tape, walked as perfbench's tape counter
     walks it, counted by name from `named_ops` or else all as "op". The
     parameter leaves the walk reaches are not counted."""
-    seen, todo, ops = {id(loss)}, [loss], Counter()
+    seen, todo, ops = {id(loss._node)}, [loss._node], Counter()
     while todo:
         node = todo.pop()
         if node._backward is not None:
@@ -720,7 +732,7 @@ class TestFusedOps:
     def test_one_tape_node_each(self):
         for _, fused, _, inputs in fused_cases():
             y = fused(*inputs)
-            assert tape_ops(y) == {"op": 1} and y._parents == tuple(inputs)
+            assert tape_ops(y) == {"op": 1} and y._parents == tuple(t._node for t in inputs)
 
     @pytest.mark.parametrize("name", ["mlp", "gated_residual"])
     def test_float32_bit_equal_to_unfused(self, name):
@@ -1052,3 +1064,134 @@ def test_denoiser_float32_bit_equal_to_unfused_with_fewer_nodes(monkeypatch):
         if g is not None:
             assert grads[k].dtype == np.float32 and grads[k].tobytes() == g.tobytes(), k
     assert want_nodes - nodes == (6 + 8) * cfg.depth + 2
+
+
+# The score shapes attention takes a row max of, per block: temporal at w8,
+# w16 and w32 (the last also rollout's, L = 32), cross at alpha 1 and 2
+# (10 keys), spatial at alpha 1 and 2 (past the fold's width).
+ROW_MAX_SHAPES = [(96, 4, 8, 8), (96, 4, 16, 16), (32, 4, 32, 32), (34, 4, 96, 10),
+                  (8, 4, 384, 10), (3, 4, 96, 96), (1, 1, 384, 384)]
+
+
+class TestRowMax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ROW_MAX_SHAPES)
+    def test_matches_np_max(self, shape, dtype):
+        # np.max's value up to the sign of a zero, and NaN in a row holding
+        # one, on rows of NaN, +-0 and -inf mixes as well as plain ones
+        rng = np.random.default_rng(sum(shape))
+        s = rng.normal(size=shape).astype(dtype)
+        rows = s.reshape(-1, shape[-1])
+        n = shape[-1]
+        specials = [np.nan, 0.0, -0.0, -np.inf]
+        picked = rng.choice(rows.shape[0], size=min(rows.shape[0], 64), replace=False)
+        for r, row in enumerate(picked):
+            kind = r % 6
+            if kind == 0:
+                rows[row, rng.integers(n)] = np.nan
+            elif kind == 1:
+                rows[row] = rng.choice([0.0, -0.0], size=n)
+            elif kind == 2:
+                rows[row] = -np.inf
+            elif kind == 3:
+                rows[row] = rng.choice(specials, size=n)
+            elif kind == 4:
+                rows[row, [0, -1]] = np.nan
+            else:
+                rows[row] = rng.choice([-np.inf, -0.0, 0.0], size=n)
+        got = T._row_max(s, np.empty(shape[:-1] + (1,), dtype))
+        want = np.max(s, axis=-1, keepdims=True)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        plain = ~np.isnan(want) & (want != 0)
+        assert got[plain].tobytes() == want[plain].tobytes()
+        assert np.all(got[want == 0] == 0)
+
+    def test_short_rows_fold(self):
+        # the rows of temporal and cross attention take the fold
+        assert max(shape[-1] for shape in ROW_MAX_SHAPES[:5]) <= T._FOLD_KEYS
+        assert min(shape[-1] for shape in ROW_MAX_SHAPES[5:]) > T._FOLD_KEYS
+
+
+def closure_objects(fn) -> list:
+    """Every object a backward closure reaches through closure cells,
+    defaults, tuples and lists; tape nodes are walked on their own."""
+    found, todo, seen = [], [fn], set()
+    while todo:
+        obj = todo.pop()
+        if obj is None or id(obj) in seen or isinstance(obj, T._Node):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            todo += [cell.cell_contents for cell in obj.__closure__ or ()]
+            todo += obj.__defaults__ or ()
+        elif isinstance(obj, (tuple, list)):
+            todo += obj
+    return found
+
+
+class TestTapeKeepsNoTensor:
+    """Each backward keeps the arrays it reads and no tensor, so a value that
+    no backward reads is freed once the forward drops it."""
+
+    @pytest.fixture(scope="class")
+    def desk_loss(self):
+        # the loss of one desk-model captioned w8, alpha = 1 example, and
+        # weak references to the residual stream (the gated_residual
+        # outputs) and to the temporal q and k projections, which attention
+        # keeps only as rotated copies
+        from longroad import backbone as B
+        from longroad import diffusion as D
+        from longroad import training as TR
+
+        refs = {"gated_residual": [], "temporal q/k": []}
+        gated_residual, attention = T.gated_residual, T.attention
+
+        def gated(*args):
+            out = gated_residual(*args)
+            refs["gated_residual"].append(weakref.ref(out.data))
+            return out
+
+        def attend(q, k, v, heads, scale, rope=None):
+            if rope is not None:
+                refs["temporal q/k"] += [weakref.ref(q.data), weakref.ref(k.data)]
+            return attention(q, k, v, heads, scale, rope)
+
+        cfg = TR.TrainConfig()
+        rng = np.random.default_rng(5)
+        model = B.VideoDenoiser(B.ModelConfig(), rng)
+        sched = D.build_schedule(cfg.t_max, cfg.beta_start, cfg.beta_end)
+        part = D.FramePartition(8, 4)
+        batch = D.make_batch(rng.uniform(-1, 1, (8, 3, 32, 48)).astype(np.float32), part,
+                             sched, rng)
+        cond = B.ConditionSet(np.array([3, 9, 27]), np.arange(8) % 3, 10.0, 32.0, 48.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "gated_residual", gated)
+            mp.setattr(T, "attention", attend)
+            pred = model.forward(batch.xt, batch.t, cond, B.RopePlan(np.arange(0, 16, 2)))
+        loss = D.total_loss(batch, pred, D.loss_weights_for(part, cfg.lam), sched)
+        return loss, refs
+
+    def test_no_backward_holds_a_tensor(self, desk_loss):
+        loss, _ = desk_loss
+        seen, todo, ops = {id(loss._node)}, [loss._node], 0
+        while todo:
+            node = todo.pop()
+            if node._backward is not None:
+                ops += 1
+                held = [type(o).__name__ for o in closure_objects(node._backward)
+                        if isinstance(o, Tensor)]
+                assert not held, held
+            for p in node._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    todo.append(p)
+        assert ops == 138  # every op node of TestTapeSize's example was looked into
+
+    def test_residual_stream_and_temporal_projections_are_freed(self, desk_loss):
+        # with the loss alive, the arrays no backward reads are gone
+        loss, refs = desk_loss
+        assert loss.requires_grad
+        assert {k: len(v) for k, v in refs.items()} == {"gated_residual": 16, "temporal q/k": 8}
+        for name, held in refs.items():
+            assert [r() is None for r in held] == [True] * len(held), name

@@ -9,6 +9,16 @@ page faults (ru_minflt) of each step. The table is README's "window x batch"
 table; the faults are those of CHANGES.md's page-fault lines.
 
     python3 tools/train_memory.py [--steps 2] [--json cells.json]
+    python3 tools/train_memory.py --tape [--json tape.json]
+
+`--tape` answers where a tape's memory goes instead. After the forward and
+loss of one w32 example of the same set-up, at alpha 1 and at alpha 2, it
+walks the tape from the loss and prints the bytes it holds by op name: every
+array a node's backward closure reaches (through cells, defaults, tuples and
+lists), each base array counted once, for the first op in forward order that
+holds it. Parameters are held anyway and are listed apart. Where the tape's
+nodes are the tensors themselves, a node's own value and its parents' count
+too, so the same walk measures such a checkout.
 
 The cells import `longroad` from the `src/` beside this script, so a copy of
 the script in another checkout measures that checkout.
@@ -24,7 +34,11 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WINDOWS = (8, 16, 32)
@@ -39,16 +53,14 @@ def run_cell(window: int, alpha: int, steps: int) -> dict:
     """Set up as perfbench's train workload does, then train one phase."""
     from dataclasses import replace
 
-    from longroad import config, toyroad, training
+    from longroad import config, training
     from longroad.backbone import VideoDenoiser
     from longroad.seeding import rng_for
 
     cfg = config.load_config()
     tc = config.train_config(cfg)
     with tempfile.TemporaryDirectory() as tmp:
-        data_dir = toyroad.generate_dataset(Path(tmp) / "data", seed=1, clips=8, frames=64,
-                                            height=32, width=48, fps=10)
-        dataset = toyroad.ClipDataset(data_dir)
+        dataset = _dataset(Path(tmp))
         for i in range(len(dataset)):
             for a in tc.alpha_set:
                 dataset.rendered_at_scale(i, a)
@@ -70,15 +82,143 @@ def run_cell(window: int, alpha: int, steps: int) -> dict:
             "losses": [r["loss"] for r in records]}
 
 
+def _dataset(root: Path):
+    """perfbench's train data: 8 clips x 64 frames at 32x48, seed 1."""
+    from longroad import toyroad
+
+    data_dir = toyroad.generate_dataset(root / "data", seed=1, clips=8, frames=64,
+                                        height=32, width=48, fps=10)
+    return toyroad.ClipDataset(data_dir)
+
+
+def _base(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _held(node) -> list:
+    """The objects a tape node keeps: its backward's cells, defaults, tuples
+    and lists, and the node and its parents."""
+    found, todo, seen = [], [node._backward, node, *node._parents], set()
+    while todo:
+        obj = todo.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            todo += [cell.cell_contents for cell in obj.__closure__ or ()]
+            todo += obj.__defaults__ or ()
+        elif isinstance(obj, (tuple, list)):
+            todo += obj
+    return found
+
+
+def tape_bytes(alpha: int) -> dict:
+    """The bytes one w32 example's tape holds at `alpha`, by op name."""
+    from longroad import config, diffusion, tensor
+    from longroad.backbone import VideoDenoiser
+    from longroad.curriculum import CurriculumPhase, next_batch
+    from longroad.seeding import rng_for
+
+    cfg = config.load_config()
+    tc = config.train_config(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = _dataset(Path(tmp))
+        ex = next_batch(CurriculumPhase(frames=32, batch=1, steps=1), dataset,
+                        np.random.default_rng(alpha), (alpha,), tc.memory_span_d)
+    model = VideoDenoiser(config.model_config(cfg), rng_for(tc.seed, "init"))
+    sched = diffusion.build_schedule(tc.t_max, tc.beta_start, tc.beta_end)
+    batch = diffusion.make_batch(ex.clip, ex.partition, sched, np.random.default_rng(alpha))
+
+    names, from_op = {}, tensor.Tensor._from_op  # node id -> op name, in forward order
+
+    def named(data, parents, backward_fn):
+        out = from_op(data, parents, backward_fn)
+        node = getattr(out, "_node", out)
+        if node is not None:
+            frame = sys._getframe(1)
+            while frame.f_code.co_name == "_node":
+                frame = frame.f_back
+            names.pop(id(node), None)  # the id of a node already freed
+            names[id(node)] = frame.f_code.co_name
+        return out
+
+    tensor.Tensor._from_op = staticmethod(named)
+    try:
+        pred = model.forward(batch.xt, batch.t, ex.cond, ex.plan)
+        loss = diffusion.total_loss(batch, pred,
+                                    diffusion.loss_weights_for(ex.partition, tc.lam), sched)
+        del pred
+    finally:
+        tensor.Tensor._from_op = from_op
+
+    root = getattr(loss, "_node", loss)
+    nodes, todo = {id(root): root}, [root]
+    while todo:
+        for p in todo.pop()._parents:
+            if p.requires_grad and id(p) not in nodes:
+                nodes[id(p)] = p
+                todo.append(p)
+    params = {id(_base(p.data)) for p in model.parameters()}
+    counted, by_op, ops, param_bytes = set(), Counter(), Counter(), 0
+    for key, name in names.items():
+        if key not in nodes:
+            continue
+        ops[name] += 1
+        for obj in _held(nodes[key]):
+            arr = obj.data if isinstance(obj, tensor.Tensor) else obj
+            if not isinstance(arr, np.ndarray):
+                continue
+            base = _base(arr)
+            if id(base) in counted:
+                continue
+            counted.add(id(base))
+            if id(base) in params:
+                param_bytes += base.nbytes
+            else:
+                by_op[name] += base.nbytes
+    return {"alpha": alpha, "frames": int(ex.clip.shape[0]), "memory": ex.partition.m_memory,
+            "tape_mb": round(sum(by_op.values()) / 2**20, 2),
+            "parameter_mb": round(param_bytes / 2**20, 2),
+            "ops": {name: {"nodes": ops[name], "mb": round(by_op[name] / 2**20, 2)}
+                    for name in sorted(ops, key=lambda n: (-by_op[n], n))}}
+
+
+def print_tape(cells: list[dict]) -> None:
+    print("| op | " + " | ".join(f"alpha = {c['alpha']}: nodes, MB" for c in cells) + " |")
+    print("| --- |" + " --- |" * len(cells))
+    names = list(dict.fromkeys(n for c in cells for n in c["ops"]))
+    for name in names:
+        row = [c["ops"].get(name, {"nodes": 0, "mb": 0.0}) for c in cells]
+        print(f"| {name} | " + " | ".join(f"{r['nodes']}, {r['mb']:.2f}" for r in row) + " |")
+    print("| all ops | " + " | ".join(
+        f"{sum(r['nodes'] for r in c['ops'].values())}, {c['tape_mb']:.2f}" for c in cells) + " |")
+    print()
+    for c in cells:
+        print(f"alpha {c['alpha']}: {c['frames']} frames, memory {c['memory']}; the closures "
+              f"also reach {c['parameter_mb']:.2f} MB of parameters, held anyway")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--steps", type=int, default=2, help="optimizer steps per cell")
     ap.add_argument("--json", type=Path, help="also write the cells to this file")
+    ap.add_argument("--tape", action="store_true",
+                    help="print the bytes one w32 example's tape holds, by op")
     ap.add_argument("--cell", nargs=2, type=int, metavar=("WINDOW", "ALPHA"),
                     help=argparse.SUPPRESS)  # one cell, in this process
     args = ap.parse_args(argv)
     if args.cell:
         print(json.dumps(run_cell(*args.cell, args.steps)))
+        return 0
+    if args.tape:
+        sys.path.insert(0, str(SRC))
+        cells = [tape_bytes(alpha) for alpha in ALPHAS]
+        print_tape(cells)
+        if args.json:
+            args.json.write_text(json.dumps(cells, indent=1) + "\n")
         return 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=str(SRC))

@@ -264,8 +264,7 @@ class VideoDenoiser(Module):
         command embedding; the learned null row when the condition is absent
         or dropped."""
         if cond is None or cond.null_flag:
-            null = self.null_embed(np.zeros((1, 1), dtype=np.int64))  # (1, 1, hidden)
-            return T.concat([null] * l, axis=0)
+            return self.null_embed(np.zeros((l, 1), np.int64))       # (L, 1, hidden)
         if cond.text_tokens.size and cond.text_tokens.max() >= self.cfg.text_vocab:
             raise ContractError(
                 f"token id {int(cond.text_tokens.max())} outside vocab {self.cfg.text_vocab}"

@@ -230,8 +230,7 @@ def vb_loss(pred: tuple[Tensor, Tensor], x0: np.ndarray, xt: np.ndarray, t,
     log_tilde = _table_at(schedule.posterior_log_variance_clipped, t_arr, x0.ndim)
     var_q = np.exp(log_tilde)
 
-    v = v_hat if v_hat.dtype == np.float64 else v_hat.astype(np.float64)
-    log_var_p = T.add(T.mul(v, log_beta - log_tilde), log_tilde)
+    log_var_p = T.add(T.mul(v_hat.astype(np.float64), log_beta - log_tilde), log_tilde)
 
     kl = gaussian_kl(mu_q, var_q, mu_p, log_var_p)
     return T.reduce_mean(kl, axes=tuple(range(1, x0.ndim)))
@@ -243,8 +242,7 @@ def weighted_total(per_frame_losses: Tensor, weights: LossWeights) -> Tensor:
         raise ShapeError(
             f"per-frame losses {per_frame_losses.shape} vs weights {weights.weights.shape}"
         )
-    x = per_frame_losses if per_frame_losses.dtype == np.float64 else per_frame_losses.astype(np.float64)
-    return T.reduce_sum(T.mul(x, weights.weights))
+    return T.reduce_sum(T.mul(per_frame_losses.astype(np.float64), weights.weights))
 
 
 def total_loss(batch: MemoryMaskedBatch, pred: DenoisePrediction,

@@ -47,9 +47,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 class _Node:
     """A tensor's slot on the autodiff tape; it holds no array.
 
-    `_parents` are the nodes of the op's inputs and `_backward` maps the
-    output gradient to theirs; `grad` accumulates during `backward` and
-    `shape` is the value's, for `_unbroadcast`.
+    `_parents` are the nodes of the op's inputs and `_backward(_parents, g)`
+    maps the output gradient `g` to theirs; `grad` accumulates during
+    `backward` and `shape` is the value's, for `_unbroadcast`.
     """
 
     __slots__ = ("requires_grad", "shape", "grad", "_parents", "_backward")
@@ -66,18 +66,12 @@ class _Node:
 _CONSTANT = _Node(False, ())
 
 
-def _nodes(tensors) -> tuple[_Node, ...]:
-    # from a list, not a generator: `tuple` sizes a generator's tuple by
-    # resizing it, and each such tuple, once freed, grows the tuple free list
-    return tuple([t._node or _CONSTANT for t in tensors])
-
-
 class Tensor:
     """A dense array plus its node on the autodiff tape.
 
     `data` is the value; `_node` is None when no gradient is needed.
     `requires_grad`, `grad` (the accumulated gradient, filled by `backward`)
-    and the op record `_parents`/`_backward` read through to the node.
+    and the parents' nodes `_parents` read through to the node.
     Leaf tensors created with `requires_grad=True` act as parameters.
     """
 
@@ -93,10 +87,15 @@ class Tensor:
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], backward_fn):
+        """The tensor of an op's value `data`: the only maker of tape nodes.
+        When recording, the node keeps the parents' nodes and `backward_fn`."""
         out = Tensor.__new__(Tensor)
-        out.data = data
-        out._node = (_Node(True, data.shape, _nodes(parents), backward_fn)
-                     if _recording(parents) else None)
+        out.data, out._node = data, None
+        if _recording(parents):
+            # from a list, not a generator: `tuple` sizes a generator's tuple by
+            # resizing it, and each such tuple, once freed, grows the tuple free list
+            nodes = tuple([t._node or _CONSTANT for t in parents])
+            out._node = _Node(True, data.shape, nodes, backward_fn)
         return out
 
     # -- the node's fields ------------------------------------------------------
@@ -118,10 +117,6 @@ class Tensor:
     @property
     def _parents(self) -> tuple[_Node, ...]:
         return () if self._node is None else self._node._parents
-
-    @property
-    def _backward(self):
-        return None if self._node is None else self._node._backward
 
     # -- basic protocol --------------------------------------------------------
 
@@ -157,6 +152,8 @@ class Tensor:
 
     def astype(self, dtype) -> "Tensor":
         dt = self.dtype
+        if dt == dtype:  # no copy, and no node
+            return self
         return _node(self.data.astype(dtype), (self,), [lambda g: g.astype(dt)])
 
     # -- autodiff ---------------------------------------------------------------
@@ -189,7 +186,7 @@ class Tensor:
 
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
+                node._backward(node._parents, node.grad)
                 node.grad = None  # only leaves keep gradients; frees the tape early
 
     def __getitem__(self, idx):
@@ -222,15 +219,14 @@ def _node(out: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
 
     `grads[i](g)` is parent i's local gradient for the output gradient `g`;
     the node's backward is `_backprop` over the parents' nodes. Each
-    `grads[i]` keeps the arrays it reads and no tensor.
+    `grads[i]` keeps the arrays it reads and no tensor or node.
 
     Two ops keep a backward of their own, because one intermediate gradient
     feeds several parents and is built once: in `mlp`, fc1's output gradient
     `gh` feeds `x`, `w1` and `b1`; in `attention`, the score gradient `ds`
     feeds `q` and `k`. Both accumulate through `_backprop`.
     """
-    nodes = _nodes(parents)
-    return Tensor._from_op(out, parents, lambda g: _backprop(nodes, grads, g))
+    return Tensor._from_op(out, parents, lambda nodes, g: _backprop(nodes, grads, g))
 
 
 def _backprop(parents: tuple[_Node, ...], grads, g: np.ndarray):
@@ -568,17 +564,16 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     forward's own `x * cdf` bit for bit."""
     _check_linear(x.shape, w1, b1)
     _check_linear(x.shape[:-1] + w1.shape[1:], w2, b2)
-    parents = (x, w1, b1, w2, b2)
-    track = _recording(parents)
+    track = _recording((x, w1, b1, w2, b2))
     xd, w1d, w2d = x.data, w1.data, w2.data
     h = _affine(xd, w1d, b1.data)
     act, cdf = _gelu_forward(h, keep_cdf=track)
     if not track:
         h = None  # without a backward, fc1's output can go before fc2's GEMM
     out = _affine(act, w2d, b2.data)
-    nx, nw1, nb1, nw2, nb2 = _nodes(parents)
 
-    def bw(g):
+    def bw(parents, g):
+        nx, nw1, nb1, nw2, nb2 = parents
         need_h = nx.requires_grad or nw1.requires_grad or nb1.requires_grad
         g_act = _affine_grad_x(g, w2d) if need_h else None
         _backprop((nw2, nb2), [lambda g: _affine_grad_w(h * cdf, g), _affine_grad_b], g)
@@ -587,7 +582,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             del g_act
             _backprop((nx, nw1, nb1), _affine_grads(xd, w1d), gh)
 
-    return Tensor._from_op(out, parents, bw)
+    return Tensor._from_op(out, (x, w1, b1, w2, b2), bw)
 
 
 def _mod_blocks(op: str, x: Tensor, mods: Tensor, blocks, y: Tensor | None = None):
@@ -738,14 +733,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
     for blk in blocks:
         np.matmul(weights(blk, buf, True), vh[blk], out=out_h[blk])
 
-    nodes = _nodes((v, q, k))
-
     def head_grad(ds, xh, out):  # `ds @ xh`, unrotated, into a merged gradient
         if rope is None:
             return np.matmul(ds, xh, out=out)
         _rotate(np.matmul(ds, xh), rope[0], -rope[1], out=out)
 
-    def bw(g):
+    def bw(parents, g):
+        nodes = parents[2:] + parents[:2]  # v, q, k: the order the gradients accumulate in
         gh, g_dt = _split_heads(g, heads), np.result_type(out_dt, g)
         gv, gq, gk = (np.empty(n.shape, g_dt) if n.requires_grad else None for n in nodes)
         p_buf, ds_buf = np.empty(block_shape, dt), np.empty(block_shape, g_dt)
@@ -855,10 +849,7 @@ def gather(table: Tensor, indices) -> Tensor:
     """Row lookup `table[indices]`; gradients scatter-add into the table."""
     idx = np.asarray(indices)
     if idx.size and (idx.min() < -table.shape[0] or idx.max() >= table.shape[0]):
-        raise IndexError(
-            f"gather index out of range for table with {table.shape[0]} rows"
-        )
-
+        raise IndexError(f"gather index out of range for table with {table.shape[0]} rows")
     shape, dt = table.shape, table.dtype
 
     def scatter_add(g):

@@ -376,6 +376,19 @@ class TestConfigValidation:
             model.forward(np.zeros((1, 1, 4, 4), dtype=np.float32),
                           np.array([999]), None, plan_for([0]))
 
+    @pytest.mark.parametrize("fault, match", [("scalars", "must be positive"),
+                                              ("token", "outside vocab 8"),
+                                              ("commands", "one command per frame"),
+                                              ("plan", "max_original_index")])
+    def test_bad_condition_or_plan(self, fault, match):
+        model = B.VideoDenoiser(tiny_config(max_original_index=8), np.random.default_rng(0))
+        with pytest.raises(ContractError, match=match):
+            cond = make_cond(2, fps=-1.0 if fault == "scalars" else 10.0,
+                             tokens=(1, 8) if fault == "token" else (1, 2),
+                             cmds=[0, 1, 2] if fault == "commands" else None)
+            model.forward(np.zeros((2, 1, 4, 4), dtype=np.float32), np.zeros(2, np.int64),
+                          cond, plan_for([0, 9] if fault == "plan" else [0, 1]))
+
 
 # Oracles for in-place modulation, `SpaceTimeBlock._sublayer` and the
 # in-shape embedding gathers: the adaLN ops that read shift, scale and gate
@@ -457,12 +470,13 @@ def assert_bit_equal(got, want):
 
 
 # kind, the nodes the written-out oracle adds beyond the sliced modulation's
-# (its gathers' reshapes, and the final layer's two reshapes where the sliced
+# (its gathers' reshapes, the concat of L null rows where the denoiser
+# gathers them at once, and the final layer's two reshapes where the sliced
 # modulation has one), and the embeddings that get no gradient
 CONDITIONS = [
     ("caption", 3, ["null_embed.table"]),
-    ("null", 2, ["command_embed.table", "text_embed.table"]),
-    ("none", 2, ["command_embed.table", "text_embed.table"]),
+    ("null", 3, ["command_embed.table", "text_embed.table"]),
+    ("none", 3, ["command_embed.table", "text_embed.table"]),
 ]
 
 

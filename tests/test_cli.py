@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from longroad import cli
 from longroad import metrics as M
 from longroad import nn
 from longroad import rollout as RO
@@ -18,6 +19,7 @@ from longroad.checkpoint import load_into, save_tensors
 from longroad.cli import build_parser, main
 from longroad.config import load_config, model_config
 from longroad.diffusion import build_schedule
+from longroad.errors import LongroadError
 from longroad.seeding import rng_for
 
 TINY_CONFIG = {
@@ -874,6 +876,16 @@ def test_unparsable_config_exit_one(tmp_path, capsys, content):
                "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_other_library_error_exit_two(tmp_path, monkeypatch, capsys):
+    # a LongroadError of no narrower kind maps to exit 2
+    def fail(args):
+        raise LongroadError("no narrower kind")
+
+    monkeypatch.setitem(cli._DISPATCH, "datagen", fail)
+    assert main(["datagen", "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == "error: no narrower kind\n"
 
 
 def test_module_entry_point_exits_with_main_code(monkeypatch, capsys):

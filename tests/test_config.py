@@ -31,6 +31,12 @@ def test_settable_value_count():
     assert sum(len(values) for values in DEFAULTS.values()) == 41
 
 
+@pytest.mark.parametrize("betas", [(0.0, 0.02), (0.03, 0.02), (1e-3, 1.0)])
+def test_train_betas_follow_the_schedule_rule(betas):
+    with pytest.raises(ConfigError, match="beta_start <= beta_end"):
+        TrainConfig(beta_start=betas[0], beta_end=betas[1])
+
+
 def test_rollout_window_must_exceed_memory_span(tmp_path):
     path = tmp_path / "config.json"
     span = DEFAULTS["train"]["memory_span_d"]

@@ -100,6 +100,16 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             C.curriculum_schedule([8, 16], [5], token_budget=64)
 
+    def test_no_targets_rejected(self):
+        with pytest.raises(ConfigError, match="at least one phase"):
+            C.curriculum_schedule([], [], token_budget=64)
+
+
+@pytest.mark.parametrize("field", ["fps", "base_h", "base_w", "base_l"])
+def test_clip_meta_must_be_positive(field):
+    with pytest.raises(ConfigError, match="must be positive"):
+        C.ClipMeta(**{"fps": 10, "base_h": 16, "base_w": 24, "base_l": 32, field: 0})
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):

@@ -9,8 +9,9 @@ from scipy import stats
 from longroad import backbone as B
 from longroad import diffusion as D
 from longroad import tensor as T
-from longroad.errors import ConfigError, ContractError
+from longroad.errors import ConfigError, ContractError, ShapeError
 from longroad.tensor import Tensor
+from test_tensor import tape_ops
 
 
 def cumprod_oracle(betas):
@@ -52,6 +53,12 @@ class TestSchedule:
     def test_invalid_bounds(self, args):
         with pytest.raises(ConfigError):
             D.build_schedule(*args)
+
+    @pytest.mark.parametrize("betas, match", [(np.zeros(0), "1-D"), (np.full((2, 2), 0.1), "1-D"),
+                                              ([0.1, 0.0], "within"), ([0.1, 1.0], "within")])
+    def test_invalid_beta_table(self, betas, match):
+        with pytest.raises(ConfigError, match=match):
+            D.NoiseSchedule(betas)
 
 
 class TestNoiseFrames:
@@ -107,6 +114,14 @@ class TestNoiseFrames:
         with pytest.raises(ContractError):
             D.noise_frames(x0, part, np.array([0, 1001]), np.zeros((1, 1, 2, 2), np.float32), self.sched)
 
+    def test_timestep_or_noise_shape_rejected(self):
+        x0, eps = np.zeros((2, 1, 2, 2), np.float32), np.zeros((1, 1, 2, 2), np.float32)
+        part = D.FramePartition(2, 1)
+        with pytest.raises(ContractError, match="timestep vector shape"):
+            D.noise_frames(x0, part, np.array([0]), eps, self.sched)
+        with pytest.raises(ShapeError, match="future segment"):
+            D.noise_frames(x0, part, np.array([0, 5]), x0, self.sched)
+
 
 class TestTimestepSampling:
     def test_mask_structure(self):
@@ -134,6 +149,10 @@ class TestWeights:
 
     def test_half_life(self):
         assert D.memory_weight(1.0, math.log(2)) == pytest.approx(0.5, abs=1e-15)
+
+    def test_negative_decay_rejected(self):
+        with pytest.raises(ContractError, match="decay rate"):
+            D.loss_weights_for(D.FramePartition(3, 1), -0.1)
 
     def test_exponential_value(self):
         assert D.memory_weight(0.5, 2.0) == pytest.approx(math.exp(-1), abs=1e-12)
@@ -172,6 +191,10 @@ class TestMseLoss:
         eps = np.array([1.0, 3.0]).reshape(1, 2, 1, 1)
         eps_hat = np.array([0.0, 1.0]).reshape(1, 2, 1, 1)
         assert D.mse_loss(eps, Tensor(eps_hat)).data.tolist() == [2.5]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            D.mse_loss(np.zeros((2, 1, 2, 2)), Tensor(np.zeros((1, 1, 2, 2))))
 
 
 class TestPosterior:
@@ -357,6 +380,8 @@ class TestTotalLoss:
         lw = D.loss_weights_for(D.FramePartition(4, 2), math.log(2))
         total = D.weighted_total(Tensor(np.array([1.0, 1.0])), lw)
         assert total.item() == pytest.approx(1.5, abs=1e-12)
+        with pytest.raises(ShapeError, match="per-frame losses"):
+            D.weighted_total(Tensor(np.ones(3)), lw)
 
     def test_matches_hand_loop_on_three_frame_fixture(self):
         lam = 0.9
@@ -384,6 +409,32 @@ class TestTotalLoss:
         assert np.all(pred.eps_hat.grad[:m] == 0)
         assert np.all(pred.v_hat.grad[:m] == 0)
         assert np.any(pred.eps_hat.grad[m:] != 0)
+
+    @pytest.mark.parametrize("dtype, copies", [(np.float32, 1), (np.float64, 3)])
+    def test_float64_loss_takes_no_copy_node(self, monkeypatch, dtype, copies):
+        # against an `astype` that always copies, the same bits; the float64
+        # per-frame sum skips its copy, and a float64 prediction the MSE's
+        # and v_hat's too
+        def run():
+            rng = np.random.default_rng(11)
+            x0 = rng.normal(size=(5, 2, 3, 3)).astype(dtype)
+            part = D.FramePartition(5, 2)
+            batch = D.make_batch(x0, part, self.sched, rng)
+            pred = D.DenoisePrediction(
+                *(Tensor(a.astype(dtype), requires_grad=True)
+                  for a in (rng.normal(size=x0.shape), rng.uniform(0, 1, size=x0.shape))))
+            total = D.total_loss(batch, pred, D.loss_weights_for(part, 0.7), self.sched)
+            nodes = tape_ops(total)["op"]
+            total.backward()
+            return [total.data, pred.eps_hat.grad, pred.v_hat.grad], nodes
+
+        got, nodes = run()
+        monkeypatch.setattr(Tensor, "astype", lambda t, dt: T._node(
+            t.data.astype(dt), (t,), [lambda g, src=t.dtype: g.astype(src)]))
+        want, want_nodes = run()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert want_nodes - nodes == copies
 
 
 class _ExactNoiseOracle:
@@ -483,6 +534,13 @@ class TestSampler:
         with pytest.raises(ConfigError):
             D.sample_clip(model, x0[:1], D.FramePartition(2, 1), self.sched,
                           steps=0, rng=np.random.default_rng(0))
+
+    def test_more_steps_than_t_max_rejected(self):
+        x0 = np.zeros((2, 1, 2, 2))
+        model = _ExactNoiseOracle(x0, self.sched)
+        with pytest.raises(ConfigError, match="must not exceed t_max"):
+            D.sample_clip(model, x0[:1], D.FramePartition(2, 1), self.sched,
+                          steps=self.sched.t_max + 1, rng=np.random.default_rng(0))
 
     def test_strided_subset_properties(self):
         s = D.strided_timesteps(1000, 50)

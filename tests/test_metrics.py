@@ -304,6 +304,20 @@ class TestWarpError:
         got = M.warp_error(vid, M.MetricConfig(search_radius=0, block=8))
         assert got == pytest.approx(np.sqrt(2) * sigma, rel=0.05)
 
+    def test_fully_occluded_pairs_undefined(self):
+        # one 8x8 block of noise per frame: no pair's forward and backward
+        # block displacements round-trip, so every pixel is occluded
+        cfg = M.MetricConfig(search_radius=2, block=8)
+        vid = np.random.default_rng(1).integers(0, 256, (3, 1, 8, 8)).astype(np.uint8)
+        assert M.estimate_flow(vid[:-1], vid[1:], cfg).occlusion.all()
+        with pytest.raises(MetricUndefinedError, match="fully occluded"):
+            M.warp_error(vid, cfg)
+
+    @pytest.mark.parametrize("kwargs", [{"search_radius": -1}, {"block": 0}])
+    def test_bad_search_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="search radius"):
+            M.MetricConfig(**kwargs)
+
 
 class TestOpticalFlowScore:
     def test_static_zero(self):
@@ -585,6 +599,11 @@ class TestFrechet:
         s = M.feature_stats(feats)
         assert M.frechet_distance(s, s) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("shape", [(6,), (0, 6), (2, 3, 6)])
+    def test_features_not_a_sample_matrix(self, shape):
+        with pytest.raises(ContractError, match="feature matrix"):
+            M.feature_stats(np.zeros(shape))
+
     def test_one_dimensional_mean_shift(self):
         a = M.FeatureStats(mu=np.array([0.0]), sigma=np.array([[1.0]]))
         b = M.FeatureStats(mu=np.array([1.0]), sigma=np.array([[1.0]]))
@@ -736,6 +755,8 @@ class TestWindowedCurves:
         vid = rng.integers(0, 256, (100, 3, 32, 48)).astype(np.uint8)
         curves = M.windowed_curves(vid, CFG, ref_f, ref_s)
         assert [p["frame"] for p in curves] == [40, 80]
+        with pytest.raises(ContractError, match="below one window"):
+            M.windowed_curves(vid[:CFG.window - 1], CFG, ref_f, ref_s)
 
     def test_one_pass_equals_per_window_definitions(self):
         # 40-frame windows straddle the clip's 16-frame stacks

@@ -144,6 +144,22 @@ class TestBootstrap:
             next(RO.chunks(short, tiny_model(), SCHED, None, settings(8), 1,
                            np.random.default_rng(0)))
 
+    def test_negative_iteration_count_rejected(self):
+        state = RO.init(np.zeros((2, 1, 8, 8), np.float32), fps=10)
+        with pytest.raises(ContractError, match="iteration count"):
+            next(RO.chunks(state, tiny_model(), SCHED, None, settings(8), -1,
+                           np.random.default_rng(0)))
+
+    def test_sampler_that_moves_memory_rejected(self, monkeypatch):
+        def unpinned(model, memory, partition, *args, **kw):
+            return np.full((partition.l_total,) + memory.shape[1:], 0.5, memory.dtype)
+
+        monkeypatch.setattr(RO, "sample_clip", unpinned)
+        state = RO.init(np.zeros((2, 1, 8, 8), np.float32), fps=10)
+        with pytest.raises(ContractError, match="pinning"):
+            next(RO.chunks(state, tiny_model(), SCHED, None, settings(8), 1,
+                           np.random.default_rng(0)))
+
 
 class _ContinuationOracle:
     """Denoiser stub that knows the true scene continuation; infers which

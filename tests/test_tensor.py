@@ -58,6 +58,12 @@ class TestMatmul:
             T.matmul(a, b)
         assert "(2, 3)" in str(ei.value) and "(4, 2)" in str(ei.value)
 
+    @pytest.mark.parametrize("a, b, match", [((3,), (3, 2), "rank >= 2"),
+                                             ((2, 3, 4), (3, 4, 5), "batch extents")])
+    def test_rank_and_batch_errors(self, a, b, match):
+        with pytest.raises(ShapeError, match=match):
+            T.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+
     def test_batched_grad(self):
         rng = np.random.default_rng(1)
         a = t64(rng.normal(size=(2, 3, 4)))
@@ -297,6 +303,8 @@ class TestStructural:
         cat = T.concat([Tensor(a), Tensor(b)], axis=0)
         np.testing.assert_array_equal(cat.data[:2], a)
         np.testing.assert_array_equal(cat.data[2:], b)
+        with pytest.raises(ShapeError, match="empty"):
+            T.concat([])
 
     def test_gather_row(self):
         table = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -337,6 +345,18 @@ class TestBackward:
         p = t64(np.random.default_rng(0).normal(size=(2, 3)))
         T.reduce_sum(p).backward()
         np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
+
+    def test_repr(self):
+        assert repr(t64(np.zeros((2, 3)))) == "Tensor(shape=(2, 3), dtype=float64, requires_grad=True)"
+
+    def test_sampled_finite_difference(self):
+        # `max_coords` probes that many coordinates and leaves the rest NaN
+        p = t64(np.random.default_rng(1).normal(size=(4, 5)))
+        T.reduce_sum(T.mul(p, p)).backward()
+        (fd,) = T.finite_difference(lambda p: T.reduce_sum(T.mul(p, p)), [p], max_coords=6)
+        probed = ~np.isnan(fd)
+        assert probed.sum() == 6
+        np.testing.assert_allclose(fd[probed], p.grad[probed], rtol=1e-6)
 
     def test_quadratic(self):
         p = t64([1.0, 2.0])
@@ -453,7 +473,7 @@ def hand_linear(x, w, b):
     T._check_linear(x.shape, w, b)
     out = T._affine(x.data, w.data, b.data)
 
-    def bw(g):
+    def bw(_, g):
         d_in, d_out = w.shape
         g2 = g.reshape(-1, d_out)
         if x.requires_grad:
@@ -483,7 +503,7 @@ def hand_layer_norm(x, gain, bias, axis, epsilon=1e-5):
     xhat = centered * inv
     out = gd * xhat + bd
 
-    def bw(g):
+    def bw(_, g):
         other = tuple(i for i in range(x.ndim) if i != ax)
         if gain.requires_grad:
             T._accum(gain, (g * xhat).sum(axis=other))
@@ -508,7 +528,7 @@ def hand_modulated_norm(x, shift, scale):
     out = xhat * gain
     out += shift.data
 
-    def bw(g):
+    def bw(_, g):
         if shift.requires_grad:
             T._accum(shift, T._unbroadcast(g, shift.shape))
         if scale.requires_grad:
@@ -788,7 +808,7 @@ class TestFusedOps:
                   for s in [(3, 4), (4, 8), (8,), (8, 4), (4,)]]
         with T.no_grad():
             y = T.mlp(*inputs)
-        assert not y.requires_grad and y._backward is None
+        assert not y.requires_grad and y._node is None
         assert y.data.tobytes() == oracle_mlp(*inputs).data.tobytes()
 
     def test_shape_errors(self):
@@ -907,7 +927,7 @@ def hand_attention(q, k, v, heads, scale, rope=None):
     def unrotate(gh):
         return gh if rope is None else rotate(gh, rope[0], -rope[1])
 
-    def bw(g):
+    def bw(_, g):
         gh = split(g)
         if v.requires_grad:
             T._accum(v, merge(np.matmul(p.swapaxes(-1, -2), gh)))
@@ -1114,11 +1134,11 @@ class TestRowMax:
 
 def closure_objects(fn) -> list:
     """Every object a backward closure reaches through closure cells,
-    defaults, tuples and lists; tape nodes are walked on their own."""
+    defaults, tuples and lists."""
     found, todo, seen = [], [fn], set()
     while todo:
         obj = todo.pop()
-        if obj is None or id(obj) in seen or isinstance(obj, T._Node):
+        if obj is None or id(obj) in seen:
             continue
         seen.add(id(obj))
         found.append(obj)
@@ -1131,8 +1151,8 @@ def closure_objects(fn) -> list:
 
 
 class TestTapeKeepsNoTensor:
-    """Each backward keeps the arrays it reads and no tensor, so a value that
-    no backward reads is freed once the forward drops it."""
+    """Each backward keeps the arrays it reads and no tensor or node, so a
+    value that no backward reads is freed once the forward drops it."""
 
     @pytest.fixture(scope="class")
     def desk_loss(self):
@@ -1179,8 +1199,9 @@ class TestTapeKeepsNoTensor:
             node = todo.pop()
             if node._backward is not None:
                 ops += 1
+                # nor a node: `Tensor.backward` hands each backward its parents'
                 held = [type(o).__name__ for o in closure_objects(node._backward)
-                        if isinstance(o, Tensor)]
+                        if isinstance(o, (Tensor, T._Node))]
                 assert not held, held
             for p in node._parents:
                 if id(p) not in seen:

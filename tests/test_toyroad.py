@@ -74,6 +74,10 @@ class TestRenderer:
         with pytest.raises(ContractError):
             R.render_clip(plain_scene(), 0, 48, 4, 10)
 
+    def test_unknown_palette(self):
+        with pytest.raises(ContractError, match="unknown palette 'noon'"):
+            plain_scene(palette="noon")
+
     @pytest.mark.parametrize("kwargs", [{"supersample": 0}, {"supersample": -1},
                                         {"base_h": 0}, {"base_h": -32}])
     def test_bad_supersample_or_base_h(self, kwargs):

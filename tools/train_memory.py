@@ -16,9 +16,7 @@ loss of one w32 example of the same set-up, at alpha 1 and at alpha 2, it
 walks the tape from the loss and prints the bytes it holds by op name: every
 array a node's backward closure reaches (through cells, defaults, tuples and
 lists), each base array counted once, for the first op in forward order that
-holds it. Parameters are held anyway and are listed apart. Where the tape's
-nodes are the tensors themselves, a node's own value and its parents' count
-too, so the same walk measures such a checkout.
+holds it. Parameters are held anyway and are listed apart.
 
 The cells import `longroad` from the `src/` beside this script, so a copy of
 the script in another checkout measures that checkout.
@@ -98,9 +96,9 @@ def _base(a: np.ndarray) -> np.ndarray:
 
 
 def _held(node) -> list:
-    """The objects a tape node keeps: its backward's cells, defaults, tuples
-    and lists, and the node and its parents."""
-    found, todo, seen = [], [node._backward, node, *node._parents], set()
+    """The objects a tape node's backward keeps: its cells, defaults, tuples
+    and lists."""
+    found, todo, seen = [], [node._backward], set()
     while todo:
         obj = todo.pop()
         if obj is None or id(obj) in seen:
@@ -136,13 +134,12 @@ def tape_bytes(alpha: int) -> dict:
 
     def named(data, parents, backward_fn):
         out = from_op(data, parents, backward_fn)
-        node = getattr(out, "_node", out)
-        if node is not None:
+        if out._node is not None:
             frame = sys._getframe(1)
             while frame.f_code.co_name == "_node":
                 frame = frame.f_back
-            names.pop(id(node), None)  # the id of a node already freed
-            names[id(node)] = frame.f_code.co_name
+            names.pop(id(out._node), None)  # the id of a node already freed
+            names[id(out._node)] = frame.f_code.co_name
         return out
 
     tensor.Tensor._from_op = staticmethod(named)
@@ -154,8 +151,7 @@ def tape_bytes(alpha: int) -> dict:
     finally:
         tensor.Tensor._from_op = from_op
 
-    root = getattr(loss, "_node", loss)
-    nodes, todo = {id(root): root}, [root]
+    nodes, todo = {id(loss._node): loss._node}, [loss._node]
     while todo:
         for p in todo.pop()._parents:
             if p.requires_grad and id(p) not in nodes:
@@ -168,10 +164,9 @@ def tape_bytes(alpha: int) -> dict:
             continue
         ops[name] += 1
         for obj in _held(nodes[key]):
-            arr = obj.data if isinstance(obj, tensor.Tensor) else obj
-            if not isinstance(arr, np.ndarray):
+            if not isinstance(obj, np.ndarray):
                 continue
-            base = _base(arr)
+            base = _base(obj)
             if id(base) in counted:
                 continue
             counted.add(id(base))

@@ -5,8 +5,10 @@ inputs; tensors that participate in a tape are never mutated in place.
 Broadcasting follows numpy's trailing-axis alignment. A tensor is its value
 plus a tape node, which holds no array: the node records its parents' nodes
 and a backward closure that keeps only the arrays it reads, so a value no
-backward reads is freed once its caller drops it. `backward()` on a scalar
-loss walks the nodes once in reverse topological order.
+backward reads is freed once its caller drops it. A modulated norm's output
+is not kept even by its readers: their backwards rebuild it (`_rebuilder`).
+`backward()` on a scalar loss walks the nodes once in reverse topological
+order.
 """
 
 from __future__ import annotations
@@ -71,17 +73,20 @@ class Tensor:
 
     `data` is the value; `_node` is None when no gradient is needed.
     `requires_grad`, `grad` (the accumulated gradient, filled by `backward`)
-    and the parents' nodes `_parents` read through to the node.
+    and the parents' nodes `_parents` read through to the node. `_rebuild`
+    is None, or for a recorded modulated norm's output and its transposes
+    the `(value, axes)` that rebuilds it (`_reader`).
     Leaf tensors created with `requires_grad=True` act as parameters.
     """
 
-    __slots__ = ("data", "_node")
+    __slots__ = ("data", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)  # float32 and float64 stay, anything else becomes float32
         self.data = np.asarray(  # C order, and a 0-d array stays 0-d
             arr, arr.dtype if arr.dtype in _ALLOWED_DTYPES else np.float32, order="C")
         self._node = _Node(True, self.data.shape) if requires_grad else None
+        self._rebuild = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -90,7 +95,7 @@ class Tensor:
         """The tensor of an op's value `data`: the only maker of tape nodes.
         When recording, the node keeps the parents' nodes and `backward_fn`."""
         out = Tensor.__new__(Tensor)
-        out.data, out._node = data, None
+        out.data, out._node, out._rebuild = data, None, None
         if _recording(parents):
             # from a list, not a generator: `tuple` sizes a generator's tuple by
             # resizing it, and each such tuple, once freed, grows the tuple free list
@@ -224,7 +229,8 @@ def _node(out: np.ndarray, parents: tuple[Tensor, ...], grads) -> Tensor:
     Two ops keep a backward of their own, because one intermediate gradient
     feeds several parents and is built once: in `mlp`, fc1's output gradient
     `gh` feeds `x`, `w1` and `b1`; in `attention`, the score gradient `ds`
-    feeds `q` and `k`. Both accumulate through `_backprop`.
+    feeds `q` and `k`. `modulated_norm`'s first frees its output's rebuild
+    (`_rebuilder`). All accumulate through `_backprop`.
     """
     return Tensor._from_op(out, parents, lambda nodes, g: _backprop(nodes, grads, g))
 
@@ -538,9 +544,20 @@ def _affine_grad_b(g: np.ndarray) -> np.ndarray:
     return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
-def _affine_grads(x: np.ndarray, w: np.ndarray) -> list:
-    """The local gradients of x, w and b, as `_node` and `_backprop` take them."""
-    return [lambda g: _affine_grad_x(g, w), lambda g: _affine_grad_w(x, g), _affine_grad_b]
+def _affine_grads(x, w: np.ndarray) -> list:
+    """The local gradients of x, w and b, as `_node` and `_backprop` take
+    them; `x()` is the input's value (`_reader`)."""
+    return [lambda g: _affine_grad_x(g, w), lambda g: _affine_grad_w(x(), g), _affine_grad_b]
+
+
+def _reader(x: Tensor):
+    """How a backward gets `x`'s value: a modulated norm's output, or a
+    transpose of it, is rebuilt (`_rebuilder`); any other value is kept."""
+    if x._rebuild is not None:
+        value, axes = x._rebuild
+        return lambda: value(axes)
+    data = x.data
+    return lambda: data
 
 
 def _check_linear(x_shape: tuple[int, ...], w: Tensor, b: Tensor):
@@ -554,19 +571,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` over the last axis of `x`. Leading axes fold into one 2-D
     GEMM, forward and backward, so the weight gradient is `x2ᵀ @ g2`."""
     _check_linear(x.shape, w, b)
-    return _node(_affine(x.data, w.data, b.data), (x, w, b), _affine_grads(x.data, w.data))
+    return _node(_affine(x.data, w.data, b.data), (x, w, b), _affine_grads(_reader(x), w.data))
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """`linear(gelu(linear(x, w1, b1)), w2, b2)`, the two-layer MLP with exact
     GELU. The tape keeps fc1's output and the GELU cdf, not the GELU output:
     fc2's weight gradient rebuilds that as their product, which is the
-    forward's own `x * cdf` bit for bit."""
+    forward's own `x * cdf` bit for bit. `x` is read as `linear` reads it."""
     _check_linear(x.shape, w1, b1)
     _check_linear(x.shape[:-1] + w1.shape[1:], w2, b2)
     track = _recording((x, w1, b1, w2, b2))
-    xd, w1d, w2d = x.data, w1.data, w2.data
-    h = _affine(xd, w1d, b1.data)
+    xv, w1d, w2d = _reader(x), w1.data, w2.data
+    h = _affine(x.data, w1d, b1.data)
     act, cdf = _gelu_forward(h, keep_cdf=track)
     if not track:
         h = None  # without a backward, fc1's output can go before fc2's GEMM
@@ -580,7 +597,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         if need_h:
             gh = _gelu_backward(h, cdf, g_act)
             del g_act
-            _backprop((nx, nw1, nb1), _affine_grads(xd, w1d), gh)
+            _backprop((nx, nw1, nb1), _affine_grads(xv, w1d), gh)
 
     return Tensor._from_op(out, (x, w1, b1, w2, b2), bw)
 
@@ -760,10 +777,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float,
     return Tensor._from_op(out, (q, k, v), bw)
 
 
+def _rebuilder(xhat: np.ndarray, gain: np.ndarray, shift: np.ndarray):
+    """`(value, release)` for a modulated norm's output `xhat * gain + shift`.
+    `value(axes)` is that output transposed by `axes`, built contiguous by
+    the forward's operations in their order, so bit for bit, and kept until
+    `release()`: one build per layout, however many weight gradients read it."""
+    built = {}
+
+    def value(axes):
+        out = built.get(axes)
+        if out is None:
+            xt = xhat.transpose(axes)
+            out = np.empty(xt.shape, np.result_type(xhat, gain))
+            np.multiply(xt, gain.transpose(axes), out=out)
+            out += shift.transpose(axes)
+            built[axes] = out
+        return out
+
+    return value, built.clear
+
+
 def modulated_norm(x: Tensor, mods: Tensor, i: int) -> Tensor:
     """`layer_norm(x) · (1 + scale) + shift` over the last axis, epsilon
     1e-6, with no learned gain or bias (adaLN modulation); shift is block i
-    of `mods` and scale block i + 1 (`_mod_blocks`)."""
+    of `mods` and scale block i + 1 (`_mod_blocks`).
+
+    No backward keeps the output: when recording, it carries `_rebuilder`'s
+    `value` for its readers (`_reader`), and this op's backward, which runs
+    after all of theirs, releases what they built."""
     shift, scale = _mod_blocks("modulated_norm", x, mods, (i, i + 1))
     n, shape, dt = x.shape[-1], mods.shape, mods.dtype
     mu = x.data.mean(axis=-1, keepdims=True)
@@ -774,6 +815,8 @@ def modulated_norm(x: Tensor, mods: Tensor, i: int) -> Tensor:
     gain = scale + 1.0
     out = xhat * gain
     out += shift
+    if not _recording((x, mods)):
+        return Tensor._from_op(out, (x, mods), None)
 
     def grad_x(g):
         d = g * gain                                    # d(xhat)
@@ -783,8 +826,16 @@ def modulated_norm(x: Tensor, mods: Tensor, i: int) -> Tensor:
         d *= inv
         return d
 
-    return _node(out, (x, mods),
-                 [grad_x, lambda g: _mod_grad(shape, dt, [(i, g), (i + 1, g * xhat)])])
+    grads = [grad_x, lambda g: _mod_grad(shape, dt, [(i, g), (i + 1, g * xhat)])]
+    value, release = _rebuilder(xhat, gain, shift)
+
+    def bw(parents, g):
+        release()
+        _backprop(parents, grads, g)
+
+    y = Tensor._from_op(out, (x, mods), bw)
+    y._rebuild = (value, (0, 1, 2))
+    return y
 
 
 # -- reductions -------------------------------------------------------------------
@@ -819,7 +870,12 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    return _node(np.transpose(a.data, axes), (a,), [lambda g: np.transpose(g, np.argsort(axes))])
+    """`np.transpose`; a modulated norm's output stays rebuildable, in the new layout."""
+    out = _node(np.transpose(a.data, axes), (a,), [lambda g: np.transpose(g, np.argsort(axes))])
+    if a._rebuild is not None and out._node is not None:
+        value, layout = a._rebuild
+        out._rebuild = (value, tuple(layout[k] for k in axes))
+    return out
 
 
 def slice_(a: Tensor, idx) -> Tensor:

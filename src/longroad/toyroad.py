@@ -251,6 +251,16 @@ def encode_caption(caption: str) -> np.ndarray:
 # -- persistence -----------------------------------------------------------------------
 
 
+def _command_fault(commands: np.ndarray) -> tuple[int, str] | None:
+    """The first frame of a nonempty command track whose byte is not a
+    command (straight, left or right), and a message naming it; else None."""
+    if commands.max() <= RIGHT:
+        return None
+    frame = int(np.argmax(commands > RIGHT))
+    return frame, (f"frame {frame} has command byte {commands[frame]}, "
+                   "need 0-2 (straight, left, right)")
+
+
 def write_clip(record: ClipRecord, path) -> None:
     frames = np.asarray(record.frames)
     if frames.ndim != 4 or frames.shape[0] < 1:
@@ -272,6 +282,9 @@ def write_clip_chunks(path, frame_shape, fps: int, caption: str, commands,
     l = commands.shape[0] if commands.ndim == 1 else 0
     if l < 1:
         raise ContractError(f"need one command byte per frame, got {commands.shape}")
+    fault = _command_fault(commands)
+    if fault:
+        raise ContractError(fault[1])
     caption = caption.encode("utf-8")
     if not caption:
         raise ContractError("caption must be nonempty")
@@ -314,7 +327,11 @@ def read_clip(path) -> ClipRecord:
             caption = r.take(cap_len, "caption").decode("utf-8")
         except UnicodeDecodeError as e:
             raise r.error("caption is not valid UTF-8", r.pos - cap_len + e.start)
+        at = r.pos
         commands = r.array(np.uint8, l, "command track")
+        fault = _command_fault(commands)
+        if fault:
+            raise r.error(fault[1], at + fault[0])
         need = l * c * h * w
         frames = r.array(np.uint8, need, f"pixel payload, need {need} bytes")
     return ClipRecord(frames=frames.reshape(l, c, h, w), fps=fps, caption=caption,

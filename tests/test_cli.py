@@ -157,6 +157,26 @@ class TestTrain:
         assert f"clip {clip} does not match the dataset: {problem}" in err
         assert not list(out.glob("*.idck")) and not (out / "train_log.jsonl").exists()
 
+    def test_command_byte_outside_0_to_2_exit_two_without_traceback(self, tmp_path, capsys):
+        # every command byte of both clips rewritten to 7: the reader names
+        # the first bad frame, where the command embedding once raised a raw
+        # IndexError mid-step
+        data = datagen(tmp_path)
+        clips = sorted(data.glob("*.toyr"))
+        for clip in clips:
+            rec = R.read_clip(clip)
+            start = 18 + len(rec.caption.encode("utf-8"))
+            blob = bytearray(clip.read_bytes())
+            blob[start:start + len(rec.commands)] = bytes([7]) * len(rec.commands)
+            clip.write_bytes(bytes(blob))
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(write_config(tmp_path)), "--data", str(data),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "frame 0 has command byte 7, need 0-2" in err and "Traceback" not in err
+        assert not list(out.glob("*.idck")) and not (out / "train_log.jsonl").exists()
+
     def test_unknown_config_key_exit_one(self, tmp_path):
         data = datagen(tmp_path)
         bad = dict(TINY_CONFIG)

@@ -1086,6 +1086,144 @@ def test_denoiser_float32_bit_equal_to_unfused_with_fewer_nodes(monkeypatch):
     assert want_nodes - nodes == (6 + 8) * cfg.depth + 2
 
 
+# -- readers that keep a modulated norm's output ------------------------------------
+# `linear` and `mlp` as they were before their backwards rebuilt a modulated
+# norm's output: each keeps its input's value for its weight gradient. The
+# rebuild must give the same bytes, in the spatial layout and in the
+# temporal attention's transposed one.
+
+
+def keeping_linear(x, w, b):
+    T._check_linear(x.shape, w, b)
+    xd, wd = x.data, w.data
+    return T._node(T._affine(xd, wd, b.data), (x, w, b),
+                   [lambda g: T._affine_grad_x(g, wd), lambda g: T._affine_grad_w(xd, g),
+                    T._affine_grad_b])
+
+
+def keeping_mlp(x, w1, b1, w2, b2):
+    T._check_linear(x.shape, w1, b1)
+    T._check_linear(x.shape[:-1] + w1.shape[1:], w2, b2)
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    h = T._affine(xd, w1d, b1.data)
+    act, cdf = T._gelu_forward(h, keep_cdf=True)
+
+    def bw(parents, g):
+        nx, nw1, nb1, nw2, nb2 = parents
+        T._backprop((nw2, nb2), [lambda g: T._affine_grad_w(h * cdf, g), T._affine_grad_b], g)
+        gh = T._gelu_backward(h, cdf, T._affine_grad_x(g, w2d))
+        T._backprop((nx, nw1, nb1), [lambda g: T._affine_grad_x(g, w1d),
+                                     lambda g: T._affine_grad_w(xd, g), T._affine_grad_b], gh)
+
+    return Tensor._from_op(T._affine(act, w2d, b2.data), (x, w1, b1, w2, b2), bw)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("frames", [8, 32])
+@pytest.mark.parametrize("cond_kind", ["captioned", "null_flag", "none"])
+def test_denoiser_bit_equal_to_readers_that_keep_the_norm_output(monkeypatch, dtype, frames,
+                                                                cond_kind):
+    from longroad import backbone as B
+
+    cfg = B.ModelConfig(depth=2, hidden=16, heads=2, patch=2, channels=3, t_max=20,
+                        text_vocab=8, max_original_index=128)
+    model = B.VideoDenoiser(cfg, np.random.default_rng(0), dtype=dtype)
+    rng = np.random.default_rng(frames)
+    for p in model.parameters():  # modulation and head too, which start at zero
+        p.data = rng.normal(0, 0.3, size=p.shape).astype(dtype)
+    x = rng.normal(size=(frames, 3, 8, 8)).astype(dtype)
+    captioned = B.ConditionSet(np.array([1, 2, 5]), np.arange(frames) % 3, 10.0, 8.0, 8.0)
+    cond = {"captioned": captioned, "null_flag": captioned.nulled(), "none": None}[cond_kind]
+    plan = B.RopePlan(np.arange(frames) * 3)
+    t = rng.integers(0, 21, size=frames)
+    w = rng.normal(size=(frames, 3, 8, 8)).astype(dtype)
+
+    def run():
+        model.zero_grad()
+        pred = model.forward(x, t, cond, plan)
+        T.reduce_sum(T.mul(T.add(pred.eps_hat, pred.v_hat), Tensor(w))).backward()
+        return ([pred.eps_hat.data, pred.v_hat.data],
+                {k: p.grad for k, p in model.named_parameters().items()})
+
+    outs, grads = run()
+    monkeypatch.setattr(T, "linear", keeping_linear)
+    monkeypatch.setattr(T, "mlp", keeping_mlp)
+    want_outs, want_grads = run()
+    for got, want in zip(outs, want_outs):
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    assert grads.keys() == want_grads.keys()
+    for k, g in want_grads.items():
+        if g is None:
+            assert grads[k] is None, k
+        else:
+            assert grads[k].dtype == dtype and grads[k].tobytes() == g.tobytes(), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       dims=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**32 - 1),
+       frozen=st.tuples(*[st.booleans()] * 3))
+def test_norm_readers_in_both_layouts_bit_equal_to_keeping_readers(dtype, dims, seed, frozen):
+    # one norm output read directly (linear and mlp) and through a transpose
+    # (two linears), with x, mods or the weights frozen: the rebuilt layouts
+    # give the keeping readers' bytes
+    l, s, h = dims
+    rng = np.random.default_rng(seed)
+
+    def leaf(shape, frozen=False):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=not frozen)
+
+    x, mods = leaf((l, s, h), frozen[0]), leaf((l, 2 * h), frozen[1])
+    w, b, w1, b1, w2, b2 = (leaf(sh, frozen[2]) for sh in
+                            [(h, 3), (3,), (h, 5), (5,), (5, 2), (2,)])
+    leaves = [x, mods, w, b, w1, b1, w2, b2]
+    results = []
+    for lin, mlp in ((T.linear, T.mlp), (keeping_linear, keeping_mlp)):
+        for t in leaves:
+            t.zero_grad()
+        y = T.modulated_norm(x, mods, 0)
+        yt = T.transpose(y, (1, 0, 2))
+        outs = [lin(y, w, b), mlp(y, w1, b1, w2, b2), lin(yt, w, b), lin(yt, w, b)]
+        flat = T.concat([T.reshape(o, (-1,)) for o in outs], axis=0)
+        loss = T.reduce_sum(T.mul(flat, Tensor(np.random.default_rng(seed).normal(
+            size=flat.shape).astype(dtype))))
+        if loss.requires_grad:
+            loss.backward()
+        results.append([o.data for o in outs] + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def test_norm_output_rebuilt_once_and_released_by_the_norm(monkeypatch):
+    # three linears read one transposed norm output, as temporal q/k/v do:
+    # their weight gradients share one contiguous rebuild, and the norm's
+    # backward frees it while the loss is still alive
+    made, rebuilder = [], T._rebuilder
+
+    def counting(*args):
+        value, release = rebuilder(*args)
+
+        def counted(axes):
+            out = value(axes)
+            made.append((id(out), out.flags.c_contiguous, weakref.ref(out)))
+            return out
+
+        return counted, release
+
+    monkeypatch.setattr(T, "_rebuilder", counting)
+    rng = np.random.default_rng(47)
+    x, mods = t64(rng.normal(size=(3, 5, 4))), t64(rng.normal(size=(3, 8)))
+    yt = T.transpose(T.modulated_norm(x, mods, 0), (1, 0, 2))
+    outs = [T.linear(yt, t64(rng.normal(size=(4, 4))), t64(np.zeros(4))) for _ in range(3)]
+    loss = T.reduce_sum(T.concat(outs, axis=0))
+    loss.backward()
+    assert len(made) == 3 and len({i for i, _, _ in made}) == 1
+    assert all(contiguous and ref() is None for _, contiguous, ref in made)
+
+
 # The score shapes attention takes a row max of, per block: temporal at w8,
 # w16 and w32 (the last also rollout's, L = 32), cross at alpha 1 and 2
 # (10 keys), spatial at alpha 1 and 2 (past the fold's width).
@@ -1164,8 +1302,8 @@ class TestTapeKeepsNoTensor:
         from longroad import diffusion as D
         from longroad import training as TR
 
-        refs = {"gated_residual": [], "temporal q/k": []}
-        gated_residual, attention = T.gated_residual, T.attention
+        refs = {"gated_residual": [], "temporal q/k": [], "modulated_norm": []}
+        gated_residual, attention, modulated_norm = T.gated_residual, T.attention, T.modulated_norm
 
         def gated(*args):
             out = gated_residual(*args)
@@ -1176,6 +1314,11 @@ class TestTapeKeepsNoTensor:
             if rope is not None:
                 refs["temporal q/k"] += [weakref.ref(q.data), weakref.ref(k.data)]
             return attention(q, k, v, heads, scale, rope)
+
+        def norm(*args):
+            out = modulated_norm(*args)
+            refs["modulated_norm"].append(weakref.ref(out.data))
+            return out
 
         cfg = TR.TrainConfig()
         rng = np.random.default_rng(5)
@@ -1188,6 +1331,7 @@ class TestTapeKeepsNoTensor:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(T, "gated_residual", gated)
             mp.setattr(T, "attention", attend)
+            mp.setattr(T, "modulated_norm", norm)
             pred = model.forward(batch.xt, batch.t, cond, B.RopePlan(np.arange(0, 16, 2)))
         loss = D.total_loss(batch, pred, D.loss_weights_for(part, cfg.lam), sched)
         return loss, refs
@@ -1213,6 +1357,12 @@ class TestTapeKeepsNoTensor:
         # with the loss alive, the arrays no backward reads are gone
         loss, refs = desk_loss
         assert loss.requires_grad
-        assert {k: len(v) for k, v in refs.items()} == {"gated_residual": 16, "temporal q/k": 8}
-        for name, held in refs.items():
-            assert [r() is None for r in held] == [True] * len(held), name
+        for name, count in (("gated_residual", 16), ("temporal q/k", 8)):
+            assert [r() is None for r in refs[name]] == [True] * count, name
+
+    def test_modulated_norm_outputs_are_freed(self, desk_loss):
+        # with the loss alive, the 17 norm outputs (4 sublayers in each of 4
+        # blocks, then the head's) are gone: their readers rebuild them
+        loss, refs = desk_loss
+        assert loss.requires_grad
+        assert [r() is None for r in refs["modulated_norm"]] == [True] * 17

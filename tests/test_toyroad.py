@@ -252,6 +252,10 @@ def oracle_parse_clip(blob, path):
     pos += cap_len
     if pos + l > len(blob):
         raise bad("truncated command track", pos)
+    for frame, command in enumerate(blob[pos:pos + l]):
+        if command > 2:
+            raise bad(f"frame {frame} has command byte {command}, "
+                      "need 0-2 (straight, left, right)", pos + frame)
     pos += l
     need = l * c * h * w
     if pos + need > len(blob):
@@ -295,15 +299,19 @@ class TestClipFormat:
         assert ei.value.offset is not None
 
     def test_read_errors_match_whole_file_reader(self, tmp_path):
-        # every truncation and a bad version, caption, magic or frame size
-        # (0 rows, columns or channels) fails with the same error, message and
-        # offset as the reader that parsed one blob
+        # every truncation and a bad version, caption, magic, frame size
+        # (0 rows, columns or channels) or command byte (frames 5 and 6 out
+        # of 0-2) fails with the same error, message and offset as the reader
+        # that parsed one blob
         path = tmp_path / "a.toyr"
-        R.write_clip(self._record(), path)
+        rec = self._record()
+        R.write_clip(rec, path)
         blob = path.read_bytes()
+        commands = 18 + len(rec.caption.encode("utf-8"))  # header and caption before them
         cases = [blob[:n] for n in range(len(blob) - 3)]  # last frames truncated
         cases += [blob[:4] + b"\x02" + blob[5:], blob[:18] + b"\xff" + blob[19:],
-                  b"TOY", blob[:28] + b"\xc3" + blob[29:]]
+                  b"TOY", blob[:28] + b"\xc3" + blob[29:],
+                  blob[:commands + 5] + b"\x03\xff" + blob[commands + 7:]]
         cases += [blob[:at] + bytes(n) + blob[at + n:] for at, n in ((6, 2), (8, 2), (12, 1))]
         for k, case in enumerate(cases):
             path.write_bytes(case)
@@ -356,7 +364,10 @@ class TestClipFormat:
          r"need \(n, 3, 16, 24\) frames"),
         (np.zeros(2, np.uint8), "road", np.zeros((3, 3, 16, 24), np.uint8),
          "2 commands, 3 frames"),
-    ], ids=["command_shape", "empty_caption", "float_pixels", "chunk_shape", "extra_frames"])
+        (np.array([2, 7], np.uint8), "road", np.zeros((2, 3, 16, 24), np.uint8),
+         "frame 1 has command byte 7, need 0-2"),
+    ], ids=["command_shape", "empty_caption", "float_pixels", "chunk_shape", "extra_frames",
+            "command_byte"])
     def test_bad_chunked_write_rejected(self, tmp_path, commands, caption, chunk, match):
         with pytest.raises(ContractError, match=match):
             R.write_clip_chunks(tmp_path / "a.toyr", (3, 16, 24), 10, caption, commands,

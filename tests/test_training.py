@@ -178,6 +178,24 @@ class TestTapeSize:
         assert loss.requires_grad
         assert held <= 3 * 2**20, held / 2**20
 
+    def test_w32_tape_megabytes_of_train_memory_tool(self):
+        # Ratchet on the tape of one desk w32 example, forward and loss, as
+        # `tools/train_memory.py --tape` measures it (about 1 s for both
+        # alphas on a 2-core x86-64 box): 165.2 and 163.1 MB, where keeping
+        # the 17 modulated-norm outputs for their readers took 190.7 and
+        # 188.6 MB. Lower the bound when a change takes more off the tape.
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "tools" / "train_memory.py"
+        spec = importlib.util.spec_from_file_location("train_memory", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        for alpha in (1, 2):
+            cell = tool.tape_bytes(alpha)
+            assert sum(op["nodes"] for op in cell["ops"].values()) == 138, cell
+            assert cell["tape_mb"] <= 168, cell
+
 
 class TestLossMasking:
     def test_memory_rows_never_enter_the_loss(self, dataset):
